@@ -1,4 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the design choices listed in README.md, "Scope
+// and design choices":
 //  1. hom counting by variable elimination (default) vs. per-hom
 //     enumeration — the reason astronomically-counted instances terminate;
 //  2. symbolic Lemma-4 evaluation on StructureExpr terms vs.

@@ -29,7 +29,7 @@ void CheckQueryUsable(const ConjunctiveQuery& query, const Schema& schema) {
           "AnalyzeInstance: query '" + query.name() + "' uses nullary atom " +
           query.schema().Name(atom.relation) +
           "(); the Theorem-3 procedure requires atoms of arity >= 1 "
-          "(see DESIGN.md)");
+          "(see README.md, \"Scope and design choices\")");
     }
   }
 }

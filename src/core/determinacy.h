@@ -67,7 +67,8 @@ struct InstanceAnalysis {
 
 /// Computes the analysis. Throws std::invalid_argument when q or a view is
 /// not boolean, uses a nullary atom (the Theorem-3 machinery requires
-/// components with nonempty domains; see DESIGN.md), or schemas differ.
+/// components with nonempty domains; see README.md, "Scope and design
+/// choices"), or schemas differ.
 ///
 /// `shared_cache` (optional) supplies a persistent HomCache — and with it
 /// the StructurePool it wraps — owned by a long-lived caller such as

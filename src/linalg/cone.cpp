@@ -10,6 +10,39 @@ SimplicialCone::SimplicialCone(Mat m) : matrix_(std::move(m)) {
     throw std::invalid_argument("SimplicialCone: matrix is singular");
   }
   inverse_ = std::move(*inverse);
+
+  // N = L·M⁻¹, with L the lcm of the denominators of M⁻¹.
+  const std::size_t n = Dimension();
+  inverse_scale_ = BigInt(1);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const BigInt& d = inverse_.At(r, c).denominator();
+      inverse_scale_ = inverse_scale_ / BigInt::Gcd(inverse_scale_, d) * d;
+    }
+  }
+  scaled_inverse_.reserve(n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const Rational& e = inverse_.At(r, c);
+      scaled_inverse_.push_back(e.numerator() *
+                                (inverse_scale_ / e.denominator()));
+    }
+  }
+}
+
+std::vector<BigInt> SimplicialCone::ScaledCoordinates(
+    const std::vector<BigInt>& x) const {
+  const std::size_t n = Dimension();
+  if (x.size() != n) {
+    throw std::invalid_argument("SimplicialCone: dimension mismatch");
+  }
+  std::vector<BigInt> out(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      out[r].MulAdd(scaled_inverse_[r * n + c], x[c]);
+    }
+  }
+  return out;
 }
 
 bool SimplicialCone::StrictlyContains(const Vec& point) const {

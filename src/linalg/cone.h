@@ -6,6 +6,7 @@
 #define BAGDET_LINALG_CONE_H_
 
 #include <optional>
+#include <vector>
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
@@ -26,6 +27,16 @@ class SimplicialCone {
 
   /// Preimage coordinates M⁻¹ p.
   Vec Coordinates(const Vec& point) const { return inverse_.Apply(point); }
+
+  /// L, the least positive integer making L·M⁻¹ integral (the lcm of the
+  /// denominators of M⁻¹).
+  const BigInt& inverse_scale() const { return inverse_scale_; }
+
+  /// N·x for the integer matrix N = L·M⁻¹ and an integer vector x, in
+  /// integers only (N is built once, with the cone). Since L > 0,
+  /// sign((N·x)_i) = sign((M⁻¹x)_i) and N·x / L = Coordinates(x): a sign
+  /// test against the cone needs no rational normalization.
+  std::vector<BigInt> ScaledCoordinates(const std::vector<BigInt>& x) const;
 
   /// p ∈ 𝒞 ⇔ M⁻¹ p ≥ 0.
   bool Contains(const Vec& point) const {
@@ -48,6 +59,8 @@ class SimplicialCone {
  private:
   Mat matrix_;
   Mat inverse_;
+  BigInt inverse_scale_;
+  std::vector<BigInt> scaled_inverse_;  ///< N = L·M⁻¹, row-major.
 };
 
 }  // namespace bagdet

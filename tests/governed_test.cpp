@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/basis.h"
+#include "core/counterexample.h"
 #include "core/determinacy.h"
 #include "core/distinguisher.h"
 #include "hom/hom.h"
@@ -282,6 +283,29 @@ TEST_F(GovernedTest, GovernedUnlimitedBitIdenticalToUngoverned) {
     EXPECT_EQ(governed.result->Summary(), baseline_summary);
     EXPECT_TRUE(governed.result->exec_status.ok());
   }
+}
+
+TEST_F(GovernedTest, CancelledContextStopsSynthesisWalk) {
+  // The Lemma 57 walk checkpoints once per step: under an already-cancelled
+  // context, synthesis trips there and names its kernel. k = 2 keeps the
+  // linear algebra before the walk off the checkpointed modular paths.
+  SmallInstance inst = MakeUndetermined(2);
+  DeterminacyOptions options;
+  options.want_counterexample = false;
+  DeterminacyResult decided =
+      DecideBagDeterminacy(inst.views, inst.query, options);
+  ASSERT_FALSE(decided.determined);
+  const GoodBasis basis =
+      BuildGoodBasis(decided.analysis, DistinguisherOptions());
+  ExecContext exec{ExecLimits{}};
+  exec.RequestCancel();
+  ExecStatus status;
+  auto counterexample = RunGoverned(exec, &status, [&] {
+    return SynthesizeCounterexample(decided.analysis, basis);
+  });
+  EXPECT_FALSE(counterexample.has_value());
+  EXPECT_EQ(status.code, ExecCode::kCancelled);
+  EXPECT_EQ(status.kernel, "core.synthesize");
 }
 
 TEST_F(GovernedTest, TrippedRequestLeavesNextRequestUnaffected) {
