@@ -30,8 +30,8 @@ Baseline format::
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
-dispatch-sensitive sweeps (modular thread sweep, hom split sweep, decide
-loop), not every microbenchmark, so a refactor adding benches does not
+dispatch-sensitive sweeps (hom split sweep, decide loop), not every
+microbenchmark, so a refactor adding benches does not
 invalidate baselines.
 """
 
@@ -42,8 +42,6 @@ import sys
 # Benchmarks worth gating: the thread sweeps whose shape the tuning
 # subsystem exists to keep honest, plus the end-to-end decide loop.
 PINNED_PREFIXES = (
-    "BM_ModularRrefManyPrimes",
-    "BM_ModularInverse",
     "BM_CountHomsSplit",
     "BM_DecideDetermined",
 )
@@ -194,8 +192,7 @@ def cmd_sweep_entry(args):
 
 def cmd_selftest(_args):
     base_times = {
-        "BM_ModularRrefManyPrimes/12/4": {"real_time_ns": 1e6,
-                                          "cpu_time_ns": 1e6},
+        "BM_DecideDetermined/4": {"real_time_ns": 1e6, "cpu_time_ns": 1e6},
         "BM_CountHomsSplit/4": {"real_time_ns": 2e6, "cpu_time_ns": 2e6},
     }
     baseline = make_baseline("selftest", "selftest", base_times,
@@ -229,8 +226,7 @@ def cmd_selftest(_args):
 
     missing = dict(slowed)
     del missing["BM_CountHomsSplit/4"]
-    missing["BM_ModularRrefManyPrimes/12/4"] = base_times[
-        "BM_ModularRrefManyPrimes/12/4"]
+    missing["BM_DecideDetermined/4"] = base_times["BM_DecideDetermined/4"]
     failures, _ = check(baseline, missing)
     if not failures:
         print("selftest: gate ignored a missing pinned benchmark",

@@ -8,7 +8,6 @@
 #include "hom/hom_cache.h"
 #include "hom/symbolic.h"
 #include "linalg/gauss.h"
-#include "linalg/modular_solve.h"
 
 namespace bagdet {
 
@@ -113,15 +112,7 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
     }
   }
 
-  // Rank-growth check, modular first: a single word-size elimination over
-  // Z/p certifies full rank (rank_p <= rank_Q) without touching the
-  // radix-sized BigInt entries; only an inconclusive probe (unlucky prime)
-  // pays the certified exact path.
-  std::optional<std::size_t> rank_probe =
-      ModularRankLowerBound(basis.evaluation);
-  const bool full_rank = (rank_probe.has_value() && *rank_probe == k) ||
-                         IsNonsingular(basis.evaluation);
-  if (!full_rank) {
+  if (!IsNonsingular(basis.evaluation)) {
     throw std::logic_error(
         "BuildGoodBasis: evaluation matrix is singular (construction bug)");
   }

@@ -129,8 +129,7 @@ std::vector<BigInt> Theorem2Reduction::EvaluateViews(
 }
 
 std::uint64_t CountVectorFingerprint(const std::vector<BigInt>& counts) {
-  // Largest prime below 2^62 — the head of the modular layer's prime
-  // sequence (linalg/modular_solve.cpp).
+  // Largest prime below 2^62.
   constexpr std::uint64_t kPrime = 4611686018427387847ull;
   std::uint64_t h = 0x9e3779b97f4a7c15ull ^ counts.size();
   for (const BigInt& count : counts) {

@@ -56,12 +56,10 @@ struct Theorem2Reduction {
 };
 
 /// 64-bit fingerprint of a view-count vector: each count reduced modulo a
-/// fixed 62-bit prime (BigInt::Mod residue extraction, the same primitive
-/// the modular linear-algebra layer uses) and hash-combined in order.
-/// Equal vectors have equal fingerprints, so the quadratic witness scan in
-/// SearchNonDeterminacy can compare fingerprints before any exact BigInt
-/// comparison — the modular probe-before-exact-work pattern applied to the
-/// Hilbert layer's reduction counts.
+/// fixed 62-bit prime (BigInt::Mod residue extraction) and hash-combined
+/// in order. Equal vectors have equal fingerprints, so the quadratic
+/// witness scan in SearchNonDeterminacy can compare fingerprints before any
+/// exact BigInt comparison.
 std::uint64_t CountVectorFingerprint(const std::vector<BigInt>& counts);
 
 /// Runs the reduction on an instance.

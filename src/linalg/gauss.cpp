@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "linalg/modular_solve.h"
-#include "util/tuning.h"
+#include "util/bigint.h"
 
 namespace bagdet {
 
@@ -17,45 +16,75 @@ std::size_t RationalBitLength(const Rational& value) {
   return value.numerator().BitLength() + value.denominator().BitLength();
 }
 
-/// The modular driver pays a fixed cost (prime setup, residue extraction,
-/// verification); below a 3×3 the exact elimination is trivially cheap and
-/// always wins.
-bool UseModularPath(const Mat& m) { return m.rows() >= 3 && m.cols() >= 3; }
+/// Folds `d` into a running denominator lcm.
+void FoldLcm(BigInt* lcm, const BigInt& d) {
+  if (d.IsOne()) return;
+  // lcm <- lcm / gcd(lcm, d) * d, divided in place (exact).
+  BigInt::DivMod(*lcm, BigInt::Gcd(*lcm, d), lcm, nullptr);
+  *lcm *= d;
+}
 
-/// Inverse dispatch gate. The thresholds live in the active TuningProfile;
-/// their defaults are the crossover measured on the 1-core reference host
-/// (BENCH_linalg.json): with word-size entries exact [A|I] elimination
-/// stays ahead through n ≈ 8 (its rationals never grow far), while entries
-/// of 32 bits and up flip to the multi-modular path from n = 4. A profile
-/// produced by bagdet_tune re-points the gate at the crossover of the
-/// machine actually running; either path returns bit-identical results.
-bool UseModularInverse(const Mat& m) {
-  const TuningProfile& tuning = Tuning();
+/// Fraction-free Bareiss determinant: clears row denominators, runs
+/// exact-division elimination over Z, and rescales. Intermediate values
+/// are bounded by minors of the cleared matrix — no rational
+/// normalization churn.
+Rational DeterminantBareiss(const Mat& m) {
   const std::size_t n = m.rows();
-  if (n < tuning.inverse_modular_min_dim) return false;
-  if (n >= tuning.inverse_modular_always_dim) return true;
+  if (n == 0) return Rational(1);
+
+  // Clear each row's denominators; det(A) = det(cleared) / Π row_lcm.
+  std::vector<BigInt> a(n * n);
+  BigInt denominator_product(1);
   for (std::size_t r = 0; r < n; ++r) {
+    BigInt lcm(1);
+    for (std::size_t c = 0; c < n; ++c) {
+      FoldLcm(&lcm, m.At(r, c).denominator());
+    }
     for (std::size_t c = 0; c < n; ++c) {
       const Rational& q = m.At(r, c);
-      if (q.numerator().BitLength() + q.denominator().BitLength() >=
-          tuning.inverse_modular_entry_bits) {
-        return true;
+      a[r * n + c] = q.numerator() * (lcm / q.denominator());
+    }
+    denominator_product *= lcm;
+  }
+
+  // One-step Bareiss: every division is exact, and intermediates are
+  // bounded by minors of the cleared matrix.
+  BigInt prev(1);
+  bool negate = false;
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    std::size_t pivot = n;
+    for (std::size_t r = k; r < n; ++r) {
+      if (!a[r * n + k].IsZero()) {
+        pivot = r;
+        break;
       }
     }
+    if (pivot == n) return Rational(0);
+    if (pivot != k) {
+      std::swap_ranges(a.begin() + pivot * n, a.begin() + (pivot + 1) * n,
+                       a.begin() + k * n);
+      negate = !negate;
+    }
+    for (std::size_t i = k + 1; i < n; ++i) {
+      for (std::size_t j = k + 1; j < n; ++j) {
+        // a[i][j]·a[k][k] - a[i][k]·a[k][j], fused, divided exactly by the
+        // previous pivot in place (the entry's capacity is recycled).
+        a[i * n + j] *= a[k * n + k];
+        a[i * n + j].MulSub(a[i * n + k], a[k * n + j]);
+        BigInt::DivMod(a[i * n + j], prev, &a[i * n + j], nullptr);
+      }
+      a[i * n + k] = BigInt(0);
+    }
+    prev = a[k * n + k];
   }
-  return false;
+  BigInt det = std::move(a[n * n - 1]);
+  if (negate) det = -det;
+  return Rational(std::move(det), std::move(denominator_product));
 }
 
 }  // namespace
 
 Rref ReduceToRref(Mat m) {
-  if (UseModularPath(m)) {
-    if (std::optional<Rref> fast = TryModularRref(m)) return std::move(*fast);
-  }
-  return ReduceToRrefExact(std::move(m));
-}
-
-Rref ReduceToRrefExact(Mat m) {
   Rref result;
   const std::size_t rows = m.rows();
   const std::size_t cols = m.cols();
@@ -94,29 +123,10 @@ Rref ReduceToRrefExact(Mat m) {
   return result;
 }
 
-std::size_t Rank(const Mat& m) {
-  if (UseModularPath(m)) {
-    // A single-prime elimination gives a certified lower bound; when it
-    // saturates min(rows, cols) the exact rank is known with no exact
-    // arithmetic at all (the common case for the pipeline's full-rank
-    // evaluation matrices).
-    const std::size_t max_rank = std::min(m.rows(), m.cols());
-    std::optional<std::size_t> probe = ModularRankLowerBound(m);
-    if (probe.has_value() && *probe == max_rank) return max_rank;
-    if (std::optional<Rref> fast = TryModularRref(m)) return fast->rank;
-  }
-  return ReduceToRrefExact(m).rank;
-}
+std::size_t Rank(const Mat& m) { return ReduceToRref(m).rank; }
 
 bool IsNonsingular(const Mat& m) {
-  if (m.rows() != m.cols()) return false;
-  if (UseModularPath(m)) {
-    // det(A) mod p != 0 certifies nonsingularity outright; otherwise fall
-    // through to the certified rank (which itself starts modular).
-    std::optional<bool> probe = ModularNonsingularProbe(m);
-    if (probe.has_value()) return *probe;
-  }
-  return Rank(m) == m.rows();
+  return m.rows() == m.cols() && Rank(m) == m.rows();
 }
 
 Rational Determinant(Mat m) {
@@ -167,21 +177,6 @@ Rational Determinant(Mat m) {
 
 std::optional<Mat> Inverse(const Mat& m) {
   if (m.rows() != m.cols()) return std::nullopt;
-  if (m.rows() == 0) return Mat(0, 0);
-  // The dedicated multi-modular inverse (per-prime inversion + CRT below
-  // ModularOptions::dixon_min_dim, Dixon p-adic lifting above it, both
-  // capped by a fresh-prime screen + exact A·A⁻¹ = I certificate) replaces
-  // the earlier generic RREF-of-[A|I] lift, whose exact verification cost
-  // as much as the elimination it saved. A nullopt means "declined OR
-  // singular" — the exact reference settles which.
-  if (UseModularInverse(m)) {
-    if (std::optional<Mat> fast = TryModularInverse(m)) return fast;
-  }
-  return InverseExact(m);
-}
-
-std::optional<Mat> InverseExact(const Mat& m) {
-  if (m.rows() != m.cols()) return std::nullopt;
   const std::size_t n = m.rows();
   if (n == 0) return Mat(0, 0);
   // Augment [m | I] and reduce.
@@ -190,7 +185,7 @@ std::optional<Mat> InverseExact(const Mat& m) {
     for (std::size_t c = 0; c < n; ++c) aug.At(r, c) = m.At(r, c);
     aug.At(r, n + r) = Rational(1);
   }
-  Rref rref = ReduceToRrefExact(std::move(aug));
+  Rref rref = ReduceToRref(std::move(aug));
   if (rref.rank < n || rref.pivots[n - 1] >= n) return std::nullopt;
   Mat inverse(n, n);
   for (std::size_t r = 0; r < n; ++r) {

@@ -2,20 +2,14 @@
 // relies on (Fact 5: orthogonal witnesses; Lemma 46: Vandermonde
 // nonsingularity; span tests behind the Main Lemma 31).
 //
-// Modular dispatch: ReduceToRref, Rank, IsNonsingular, and Inverse route
-// through the certified multi-modular driver (linalg/modular_solve.h)
-// whenever the matrix is big enough to benefit, falling back to plain
-// exact elimination when the driver declines (unlucky primes, exhausted
-// prime budget). Results are bit-for-bit identical either way — the
-// driver verifies every lifted answer exactly before returning it, with a
-// fresh-prime residual pre-check screening bad candidates in word-size
-// arithmetic first. SolveLinearSystem, NullspaceBasis, TestSpanMembership,
-// and OrthogonalWitness inherit the fast path through ReduceToRref;
-// Determinant uses fraction-free Bareiss elimination for the dense-integer
-// case; Inverse dispatches to TryModularInverse (per-prime inversion + CRT
-// for small n, Dixon p-adic lifting for large n). ReduceToRrefExact and
-// InverseExact are the always-exact reference implementations (also the
-// differential-test and benchmarking baselines).
+// Every operation runs exact elimination over Q. Pivots are chosen by the
+// shortest numerator+denominator, which curbs coefficient growth; the
+// pipeline's matrices are small (span tests at most 10×10 with ≤4-bit
+// entries, evaluation matrices at most 7×7 with ≤256-bit entries), so one
+// path is enough. Rank, IsNonsingular, SolveLinearSystem, NullspaceBasis,
+// TestSpanMembership, OrthogonalWitness and Inverse all build on
+// ReduceToRref; Determinant uses fraction-free Bareiss elimination for
+// integer matrices and plain elimination over Q otherwise.
 
 #ifndef BAGDET_LINALG_GAUSS_H_
 #define BAGDET_LINALG_GAUSS_H_
@@ -34,13 +28,8 @@ struct Rref {
   std::size_t rank = 0;
 };
 
-/// Reduced row echelon form (modular fast path + exact fallback; see the
-/// file comment).
+/// Reduced row echelon form.
 Rref ReduceToRref(Mat m);
-
-/// Reduced row echelon form via exact fraction arithmetic only — the
-/// reference path every modular result is pinned against.
-Rref ReduceToRrefExact(Mat m);
 
 /// Rank of a matrix.
 std::size_t Rank(const Mat& m);
@@ -48,18 +37,13 @@ std::size_t Rank(const Mat& m);
 /// True iff the square matrix is nonsingular.
 bool IsNonsingular(const Mat& m);
 
-/// Determinant of a square matrix. Dispatches to fraction-free Bareiss
-/// elimination (linalg/modular_solve.h) for integer matrices; plain exact
-/// elimination over Q otherwise.
+/// Determinant of a square matrix. Fraction-free Bareiss elimination for
+/// integer matrices; plain exact elimination over Q otherwise.
 Rational Determinant(Mat m);
 
-/// Inverse of a square nonsingular matrix; std::nullopt when singular
-/// (modular fast path + exact fallback; see the file comment).
+/// Inverse of a square nonsingular matrix (Gauss–Jordan on [A | I]);
+/// std::nullopt when singular or not square.
 std::optional<Mat> Inverse(const Mat& m);
-
-/// Inverse via exact fraction arithmetic only (Gauss–Jordan on [A | I]) —
-/// the reference path every modular inverse is pinned against.
-std::optional<Mat> InverseExact(const Mat& m);
 
 /// One solution x of A x = b, or std::nullopt when inconsistent. When the
 /// system is underdetermined the free variables are set to zero.

@@ -35,18 +35,6 @@ void BigInt::CommitSpan(limb::LimbSpan magnitude) {
   if (IsZero()) negative_ = false;
 }
 
-void BigInt::CompactInPlace() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
-  if (!limbs_.empty() && limbs_.size() <= 2) {
-    small_ = limbs_[0];
-    if (limbs_.size() == 2) {
-      small_ |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-    }
-    limbs_.clear();
-  }
-  if (IsZero()) negative_ = false;
-}
-
 void BigInt::SetMagnitude(std::vector<std::uint32_t> limbs) {
   while (!limbs.empty() && limbs.back() == 0) limbs.pop_back();
   if (limbs.size() <= 2) {
@@ -402,33 +390,6 @@ std::uint64_t BigInt::Mod(std::uint64_t m) const {
   }
   if (negative_ && r != 0) r = m - r;
   return r;
-}
-
-std::uint64_t BigInt::DivModU64(std::uint64_t divisor) {
-  if (divisor == 0 || divisor >= (1ull << 63)) {
-    throw std::domain_error("BigInt::DivModU64: divisor must be in (0, 2^63)");
-  }
-  std::uint64_t remainder;
-  if (IsSmall()) {
-    remainder = small_ % divisor;
-    small_ /= divisor;
-  } else {
-    // Schoolbook short division over the base-2^32 limbs, in place (the
-    // Dixon lifting loop divides whole residual vectors by a 62-bit prime
-    // on every iteration). The partial dividend (remainder << 32 | limb)
-    // is below 2^95 and each quotient limb below 2^32 because
-    // remainder < divisor.
-    remainder = 0;
-    for (std::size_t i = limbs_.size(); i-- > 0;) {
-      const unsigned __int128 cur =
-          (static_cast<unsigned __int128>(remainder) << 32) | limbs_[i];
-      limbs_[i] = static_cast<std::uint32_t>(cur / divisor);
-      remainder = static_cast<std::uint64_t>(cur % divisor);
-    }
-    CompactInPlace();
-  }
-  if (IsZero()) negative_ = false;
-  return remainder;
 }
 
 BigInt BigInt::Gcd(BigInt a, BigInt b) {

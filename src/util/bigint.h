@@ -17,9 +17,9 @@
 // operands are viewed in place (`MagnitudeSpan`, no copy for either
 // representation), results are computed into per-thread arena scratch and
 // committed back through `CommitSpan`, which reuses the value's retained
-// limb capacity. In steady state the multi-modular reconstruction loops
-// (CRT folds, Wang reconstruction, Dixon combines) therefore perform zero
-// heap allocations; the fused `MulAdd`/`MulSub` cover their dominant
+// limb capacity. In steady state loops over big values (Bareiss
+// elimination, the synthesis walk's scaled-inverse products) therefore
+// perform zero heap allocations; the fused `MulAdd`/`MulSub` cover their
 // `x ± a*b` shape without materializing the product as a temporary.
 
 #ifndef BAGDET_UTIL_BIGINT_H_
@@ -106,10 +106,10 @@ class BigInt {
   static BigInt Gcd(BigInt a, BigInt b);
 
   /// Fused multiply-accumulate: `*this += a * b` without materializing the
-  /// product as a temporary BigInt. This is the shape of the CRT residue
-  /// fold (`x += t·M`) and of Wang reconstruction / Dixon residual updates
-  /// (via MulSub); the product and sum run entirely in per-thread arena
-  /// scratch. `a` or `b` may alias `*this`.
+  /// product as a temporary BigInt. This is the shape of the scaled
+  /// inverse products in linalg/cone.cpp and (via MulSub) of the Bareiss
+  /// update; the product and sum run entirely in per-thread arena scratch.
+  /// `a` or `b` may alias `*this`.
   BigInt& MulAdd(const BigInt& a, const BigInt& b);
 
   /// Fused multiply-subtract: `*this -= a * b`. `a` or `b` may alias
@@ -117,20 +117,11 @@ class BigInt {
   BigInt& MulSub(const BigInt& a, const BigInt& b);
 
   /// Residue of the value modulo a word-size modulus, always in [0, m):
-  /// Mod(-3, 7) == 4. The modular linear-algebra fast path extracts one
-  /// residue per prime from every matrix entry, so this walks the limbs
-  /// directly instead of routing through a BigInt division. Requires
-  /// 0 < m < 2^63; throws std::domain_error otherwise.
+  /// Mod(-3, 7) == 4. CountVectorFingerprint reduces every view count
+  /// this way, so it walks the limbs directly instead of routing through
+  /// a BigInt division. Requires 0 < m < 2^63; throws std::domain_error
+  /// otherwise.
   std::uint64_t Mod(std::uint64_t m) const;
-
-  /// In-place truncated division by a word-size divisor: *this becomes the
-  /// quotient (rounded toward zero) and the magnitude of the remainder is
-  /// returned (the remainder's sign follows the original dividend, as with
-  /// operator%). The Dixon p-adic lifting loop divides whole residual
-  /// vectors by a 62-bit prime on every iteration, so this walks the limbs
-  /// once instead of routing through the general DivMod. Requires
-  /// 0 < divisor < 2^63; throws std::domain_error otherwise.
-  std::uint64_t DivModU64(std::uint64_t divisor);
 
   /// `base` raised to `exponent` (exponent >= 0). Pow(0, 0) == 1, matching
   /// the paper's convention 0^0 = 1.
@@ -174,9 +165,6 @@ class BigInt {
   // `small_` when it fits in 64 bits and otherwise reusing the retained
   // limb capacity. The span must not alias `limbs_`.
   void CommitSpan(limb::LimbSpan magnitude);
-  // Re-canonicalizes `limbs_` after an in-place shrink (trim + fold into
-  // `small_` when it fits). Never allocates.
-  void CompactInPlace();
   // Signed accumulate over arena scratch: *this += sign * magnitude. The
   // magnitude span may alias `limbs_` (it is consumed before the commit).
   void AccumulateSigned(bool addend_negative, limb::LimbSpan magnitude,

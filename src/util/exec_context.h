@@ -2,10 +2,10 @@
 // byte-accounted memory budgets for the determinacy pipeline.
 //
 // The serving story (ROADMAP: always-on determinacy service) needs every
-// unbounded kernel — the hom-count DP, the canonical search, the modular
-// driver's per-prime fan-out, the Hilbert frontier — to stop cleanly when a
-// request exceeds its limits, report *why* and *where*, and leave shared
-// state (StructurePool, HomCache) consistent. ExecContext is that contract:
+// unbounded kernel — the hom-count DP, the canonical search, the synthesis
+// walk, the Hilbert frontier — to stop cleanly when a request exceeds its
+// limits, report *why* and *where*, and leave shared state (StructurePool,
+// HomCache) consistent. ExecContext is that contract:
 //
 //   ExecContext exec(ExecLimits{/*deadline_ms=*/50, /*max_memory_bytes=*/0});
 //   GovernedDecision d = DecideBagDeterminacyGoverned(views, q, {}, exec);
@@ -153,9 +153,8 @@ class ExecContext {
     return bytes_charged_.load(std::memory_order_relaxed);
   }
 
-  /// Forced check (always reads the clock). For coarse boundaries — once
-  /// per CRT prime fold, per search branch — where a checkpoint is cheap
-  /// relative to the work and prompt trips are wanted.
+  /// Forced check (always reads the clock). For coarse boundaries, where a
+  /// checkpoint is cheap relative to the work and prompt trips are wanted.
   void CheckNow(const char* kernel);
 
   /// Sampled check driven by ExecCheckPoint's countdown; adapts the stride
@@ -246,7 +245,7 @@ class ExecScope {
   exec_internal::ExecTlsState saved_;
 };
 
-/// RAII for transient kernel memory (DP tables, CRT residue pools, Hilbert
+/// RAII for transient kernel memory (DP tables, limb arena blocks, Hilbert
 /// grids): Update(total) charges growth / releases shrinkage against the
 /// current context, and the destructor releases whatever is still held —
 /// including during an ExecInterrupted unwind, so a tripped request does

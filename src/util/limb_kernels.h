@@ -1,13 +1,12 @@
 // bagdet: span-based limb kernels and the per-thread scratch arena backing
 // BigInt's heap representation.
 //
-// The multi-modular tail (CRT residue folds, Wang reconstruction, Dixon
-// digit combines) executes millions of short BigInt operations whose
-// operands hover around a steady-state size. Before this layer existed,
-// every such operation copied its operands into fresh `std::vector` limb
-// buffers and allocated another one for the result — the malloc traffic the
-// ROADMAP's "BigInt/allocation overhaul" item measured as the dominant
-// tail. The kernels here are destination-passing instead: callers hand in
+// Big-value loops (Bareiss elimination, the counterexample walk's integer
+// sign tests) execute many short BigInt operations whose operands hover
+// around a steady-state size. Before this layer existed, every such
+// operation copied its operands into fresh `std::vector` limb buffers and
+// allocated another one for the result.
+// The kernels here are destination-passing instead: callers hand in
 // `LimbSpan` views of existing magnitudes (no copy, either representation)
 // and raw output buffers carved from a per-thread bump arena, and the
 // result is committed back into the BigInt's retained capacity in one

@@ -1,9 +1,9 @@
 // bagdet: shared fixed-size thread pool.
 //
 // One pool of worker threads serves every parallel stage of the pipeline —
-// HomCache::BatchCountHoms' independent (from, to) counts, the per-prime
-// eliminations of the multi-modular driver (linalg/modular_solve.cpp), and
-// the Hilbert layer's summary materialization — instead of each layer
+// HomCache::BatchCountHoms' independent (from, to) counts, the hom core's
+// parallel domain split (hom/hom.cpp), and the Hilbert layer's summary
+// materialization — instead of each layer
 // spawning and joining its own std::threads per call. The design is
 // deliberately simple: a mutex-guarded FIFO task queue (no work stealing;
 // pipeline tasks are coarse enough that queue contention is noise), plus a

@@ -25,16 +25,6 @@ struct KeySpec {
 };
 
 const KeySpec kKeys[] = {
-    {"inverse_modular_min_dim", nullptr, &TuningProfile::inverse_modular_min_dim,
-     1, 1u << 20},
-    {"inverse_modular_always_dim", nullptr,
-     &TuningProfile::inverse_modular_always_dim, 1, 1u << 20},
-    {"inverse_modular_entry_bits", nullptr,
-     &TuningProfile::inverse_modular_entry_bits, 1, 1u << 30},
-    {"dixon_min_dim", nullptr, &TuningProfile::dixon_min_dim, 0,
-     std::numeric_limits<std::size_t>::max()},
-    {"modular_num_threads", nullptr, &TuningProfile::modular_num_threads, 0,
-     4096},
     {"order_search_max_atoms", nullptr, &TuningProfile::order_search_max_atoms,
      0, 16},
     {"domain_min_work", &TuningProfile::domain_min_work, nullptr, 0,
@@ -135,13 +125,6 @@ std::optional<TuningError> ValidateTuningProfile(const TuningProfile& profile) {
       return MakeError(TuningErrorCode::kOutOfRange, 0, msg.str());
     }
   }
-  if (profile.inverse_modular_min_dim > profile.inverse_modular_always_dim) {
-    std::ostringstream msg;
-    msg << "inverse_modular_min_dim (" << profile.inverse_modular_min_dim
-        << ") > inverse_modular_always_dim ("
-        << profile.inverse_modular_always_dim << ")";
-    return MakeError(TuningErrorCode::kOutOfRange, 0, msg.str());
-  }
   return std::nullopt;
 }
 
@@ -200,10 +183,6 @@ std::optional<TuningProfile> ParseTuningProfile(const std::string& text,
     }
     SetField(&profile, *key, value);
   }
-  if (std::optional<TuningError> cross = ValidateTuningProfile(profile)) {
-    if (error != nullptr) *error = *cross;
-    return std::nullopt;
-  }
   return profile;
 }
 
@@ -242,13 +221,22 @@ namespace {
 /// Active-profile snapshot. Snapshots are heap-allocated, published with
 /// release semantics, and never freed: Tuning() hands out references with
 /// unbounded lifetime, and profile churn is a startup/test event, not a
-/// steady-state one, so the retention is bounded in practice.
+/// steady-state one, so the retention is bounded in practice. Every
+/// snapshot stays listed in RetainedProfiles() (itself never destroyed),
+/// so leak checkers see retained storage rather than a leak.
 std::atomic<const TuningProfile*> g_profile{nullptr};
-std::mutex g_profile_mu;  // Serializes writers only.
+std::mutex g_profile_mu;  // Serializes writers; guards RetainedProfiles().
 std::once_flag g_env_once;
 
+std::vector<const TuningProfile*>& RetainedProfiles() {
+  static auto* retained = new std::vector<const TuningProfile*>();
+  return *retained;
+}
+
 void PublishProfile(const TuningProfile& profile) {
-  g_profile.store(new TuningProfile(profile), std::memory_order_release);
+  const TuningProfile* snapshot = new TuningProfile(profile);
+  RetainedProfiles().push_back(snapshot);
+  g_profile.store(snapshot, std::memory_order_release);
 }
 
 std::optional<TuningError> ResolveFromEnv() {

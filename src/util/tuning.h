@@ -1,24 +1,23 @@
 // bagdet: machine-calibrated dispatch tuning.
 //
-// Every fast-path gate in the pipeline — the modular Inverse gate, the
-// Dixon-vs-CRT crossover, the hom-core order-search and domain-engage
-// thresholds, thread-pool width, cache budgets — started life as a
-// constant measured on the 1-core reference host (see BENCH_*.json). On
-// any other machine those constants are dispatch decisions calibrated for
-// someone else's hardware. TuningProfile gathers them into one struct the
-// library reads as *defaults*: a profile file produced by the
-// `bagdet_tune` calibration sweep (tools/bagdet_tune.cpp) re-points every
-// gate at the crossovers measured on the machine that actually runs the
-// workload, while explicit per-call options (ModularOptions, DpOptions,
-// ServiceOptions fields set by the caller) continue to override exactly as
-// before.
+// Every fast-path gate in the pipeline — the hom-core order-search and
+// domain-engage thresholds, thread-pool width, cache budgets — started
+// life as a constant measured on the 1-core reference host (see
+// BENCH_*.json). On any other machine those constants are dispatch
+// decisions calibrated for someone else's hardware. TuningProfile gathers
+// them into one struct the library reads as *defaults*: a profile file
+// produced by the `bagdet_tune` calibration sweep (tools/bagdet_tune.cpp)
+// re-points every gate at the crossovers measured on the machine that
+// actually runs the workload, while explicit per-call options (DpOptions,
+// ServiceOptions fields set by the caller) continue to override exactly
+// as before.
 //
 // Correctness contract: every knob here is DISPATCH-ONLY. Each gated path
-// is bit-identical to its alternative (the modular drivers verify against
-// exact certificates, the hom splits fold in fixed order, eviction only
-// recomputes), so any profile — including an adversarial one that forces
-// every gate on or off — changes wall-clock, never results. This is
-// pinned by tests/tuning_test.cpp's extreme-profile differential.
+// is bit-identical to its alternative (the hom splits fold in fixed order,
+// eviction only recomputes), so any profile — including an adversarial
+// one that forces every gate on or off — changes wall-clock, never
+// results. This is pinned by tests/tuning_test.cpp's extreme-profile
+// differential.
 //
 // Profile format: plain text, one `key = value` per line, `#` comments
 // and blank lines ignored, unknown keys and out-of-range values are typed
@@ -28,7 +27,7 @@
 // for keys where auto makes no sense (documented per field below).
 //
 //   # bagdet tuning profile (generated by bagdet_tune on <fingerprint>)
-//   dixon_min_dim = 48
+//   order_search_max_atoms = 10
 //   num_threads = 0
 //
 // Loading: the first Tuning() call loads the file named by the
@@ -54,27 +53,6 @@ namespace bagdet {
 /// reproduces pre-profile behavior bit-for-bit (it *is* the old constant
 /// table).
 struct TuningProfile {
-  // --- linalg/gauss.cpp: Inverse dispatch gate -----------------------------
-  /// Below this dimension the exact [A|I] elimination always wins (the
-  /// modular driver's prime setup + verification never amortizes).
-  std::size_t inverse_modular_min_dim = 4;
-  /// At or above this dimension the multi-modular inverse always wins,
-  /// regardless of entry size.
-  std::size_t inverse_modular_always_dim = 9;
-  /// Between the two dims, the modular path engages when any entry's
-  /// numerator+denominator bit length reaches this. Must be >= 1.
-  std::size_t inverse_modular_entry_bits = 32;
-
-  // --- linalg/modular_solve: multi-modular driver --------------------------
-  /// ModularOptions::dixon_min_dim default: dimension at which
-  /// TryModularInverse switches from per-prime CRT inversion to Dixon
-  /// p-adic lifting. On the 1-core host CRT stays ahead through n=40; on
-  /// real cores Dixon's per-column fan-out moves the crossover down.
-  std::size_t dixon_min_dim = 64;
-  /// ModularOptions::num_threads default (0 = the global pool's width,
-  /// with the measured small-matrix serial guard; 1 = force serial).
-  std::size_t modular_num_threads = 0;
-
   // --- hom core (hom/hom.h DpOptions defaults) -----------------------------
   /// DpOptions::order_search_max_atoms default (0 disables the exact
   /// subset-DP order search; hard engine cap is 16 atoms).
@@ -120,8 +98,7 @@ enum class TuningErrorCode {
   kIoError = 1,      ///< File missing/unreadable.
   kSyntaxError = 2,  ///< Line is not `key = value` / value not an integer.
   kUnknownKey = 3,   ///< Key is not a TuningProfile field.
-  kOutOfRange = 4,   ///< Value violates the field's documented range, or a
-                     ///< cross-field constraint (min_dim <= always_dim).
+  kOutOfRange = 4,   ///< Value violates the field's documented range.
 };
 
 /// Stable lowercase name ("io_error", "syntax_error", ...).
@@ -143,8 +120,9 @@ std::optional<TuningProfile> ParseTuningProfile(const std::string& text,
 std::optional<TuningProfile> LoadTuningProfile(const std::string& path,
                                                TuningError* error);
 
-/// Validates ranges + cross-field constraints of an in-memory profile
-/// (used by the parser and by SetTuningProfile). Engaged on violation.
+/// Validates the field ranges of an in-memory profile (used by
+/// SetTuningProfile; the parser checks each value as it reads it).
+/// Engaged on violation.
 std::optional<TuningError> ValidateTuningProfile(const TuningProfile& profile);
 
 /// Serializes every field as `key = value` lines (parse round-trips).

@@ -5,7 +5,7 @@
 //     schoolbook cutover, including the unbalanced split recursion),
 //   * the Knuth algorithm D q_hat correction (dividends engineered with
 //     saturated high limbs so the initial two-limb estimate overshoots),
-//   * Mod / DivModU64 against the 2^63 domain edge,
+//   * Mod against the 2^63 domain edge,
 //   * the fused MulAdd / MulSub against their unfused spellings.
 //
 // Each case validates through an independent path — ring identities,
@@ -107,7 +107,7 @@ TEST_P(BigIntDiffTest, KnuthDQHatCorrection) {
   }
 }
 
-TEST_P(BigIntDiffTest, ModAndDivModU64NearDomainEdge) {
+TEST_P(BigIntDiffTest, ModNearDomainEdge) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 20 * DiffIters(); ++iter) {
     BigInt a = testmat::RandomBigSigned(&rng, 1 + static_cast<int>(
@@ -128,21 +128,12 @@ TEST_P(BigIntDiffTest, ModAndDivModU64NearDomainEdge) {
       BigInt diff = a - BigInt(static_cast<std::int64_t>(residue));
       EXPECT_TRUE((diff % bm).IsZero())
           << a << " mod " << m << " gave " << residue;
-      // DivModU64 agrees with the general DivMod on magnitude and sign.
-      BigInt q_ref, r_ref;
-      BigInt::DivMod(a, bm, &q_ref, &r_ref);
-      BigInt x = a;
-      const std::uint64_t r_word = x.DivModU64(m);
-      EXPECT_EQ(x, q_ref);
-      EXPECT_EQ(BigInt(static_cast<std::int64_t>(r_word)), r_ref.Abs());
     }
   }
   // The contract excludes 0 and anything >= 2^63.
   BigInt v(12345);
   EXPECT_THROW(v.Mod(0), std::domain_error);
   EXPECT_THROW(v.Mod(1ull << 63), std::domain_error);
-  EXPECT_THROW(v.DivModU64(0), std::domain_error);
-  EXPECT_THROW(v.DivModU64(1ull << 63), std::domain_error);
 }
 
 TEST_P(BigIntDiffTest, FusedMulAddMulSubMatchUnfused) {

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "test_matrices.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -168,6 +169,22 @@ TEST(BigIntTest, HashEqualValuesAgree) {
   BigInt b = BigInt::FromString("123456789012345678901234567890");
   EXPECT_EQ(a.Hash(), b.Hash());
   EXPECT_NE(a.Hash(), (-a).Hash());
+}
+
+TEST(BigIntModTest, MatchesDivModOnLargeAndNegativeValues) {
+  // The largest prime below 2^62, the modulus CountVectorFingerprint uses.
+  constexpr std::uint64_t kPrime = 4611686018427387847ull;
+  Rng rng(5);
+  const BigInt modulus(static_cast<std::int64_t>(kPrime));
+  for (int i = 0; i < 100; ++i) {
+    BigInt v = testmat::RandomBig(&rng, 1 + static_cast<int>(rng.Below(8)));
+    if (rng.Chance(1, 2)) v = -v;
+    const BigInt reference = ((v % modulus) + modulus) % modulus;
+    EXPECT_EQ(BigInt(static_cast<std::int64_t>(v.Mod(kPrime))), reference);
+  }
+  EXPECT_EQ(BigInt(-3).Mod(7), 4u);
+  EXPECT_EQ(BigInt(0).Mod(7), 0u);
+  EXPECT_THROW(BigInt(1).Mod(0), std::domain_error);
 }
 
 // ---------------------------------------------------------------------------

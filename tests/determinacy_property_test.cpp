@@ -113,9 +113,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminacyPropertyTest,
 // determined bit, witness exponents, counterexample coordinates — must be
 // bit-identical under every thread-pool width and under hom-cache
 // eviction pressure. This is the property the whole concurrent serving
-// core promises (order-preserving fan-outs, prime-order CRT folds, counts
-// as pure functions of interned classes); a cache- or parallelism-
-// dependent verdict is a soundness bug, not a flake.
+// core promises (order-preserving fan-outs, counts as pure functions of
+// interned classes); a cache- or parallelism-dependent verdict is a
+// soundness bug, not a flake.
 TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
   // Unconditional restore: an ASSERT mid-loop must not leave the
   // process-wide pool pinned at this test's width for the rest of the

@@ -30,8 +30,6 @@
 #include "core/distinguisher.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
-#include "linalg/gauss.h"
-#include "linalg/modular_solve.h"
 #include "query/cq.h"
 #include "structs/structure.h"
 #include "util/bigint.h"
@@ -287,8 +285,8 @@ TEST_F(GovernedTest, GovernedUnlimitedBitIdenticalToUngoverned) {
 
 TEST_F(GovernedTest, CancelledContextStopsSynthesisWalk) {
   // The Lemma 57 walk checkpoints once per step: under an already-cancelled
-  // context, synthesis trips there and names its kernel. k = 2 keeps the
-  // linear algebra before the walk off the checkpointed modular paths.
+  // context, synthesis trips there and names its kernel. The exact linear
+  // algebra before the walk has no checkpoint, so the walk's is the first.
   SmallInstance inst = MakeUndetermined(2);
   DeterminacyOptions options;
   options.want_counterexample = false;
@@ -418,25 +416,6 @@ TEST_F(GovernedTest, DecideSurvivesDistinguisherExhaustion) {
   EXPECT_TRUE(healthy.exec_status.ok());
 }
 
-// --- Governed modular driver -------------------------------------------------
-
-TEST_F(GovernedTest, GovernedModularRrefMatchesExact) {
-  Mat m(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      m.At(i, j) = Rational(BigInt::Pow(BigInt(3), 20 + i * 4 + j) +
-                            BigInt(static_cast<std::int64_t>(i * j + 1)));
-    }
-  }
-  ExecContext exec{ExecLimits{}};
-  GovernedRref governed = TryModularRrefGoverned(m, exec);
-  ASSERT_TRUE(governed.status.ok());
-  ASSERT_TRUE(governed.rref.has_value());
-  Rref exact = ReduceToRrefExact(m);
-  EXPECT_EQ(governed.rref->matrix, exact.matrix);
-  EXPECT_EQ(governed.rref->rank, exact.rank);
-}
-
 // --- Failpoint registry ------------------------------------------------------
 
 TEST_F(GovernedTest, RegistryCountsAndDisarms) {
@@ -563,34 +542,6 @@ TEST_F(GovernedTest, InjectedCancelMidCanonicalSearch) {
       DecideBagDeterminacyGoverned(views, query, DeterminacyOptions(), fresh);
   ASSERT_TRUE(rerun.result.has_value());
   EXPECT_EQ(rerun.result->Summary(), baseline.Summary());
-}
-
-TEST_F(GovernedTest, InjectedCancelMidCrtFold) {
-  if (!failpoint::Enabled()) {
-    GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
-  }
-  Mat m(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      m.At(i, j) = Rational(BigInt::Pow(BigInt(5), 30 + i * 4 + j) +
-                            BigInt(static_cast<std::int64_t>(i + j)));
-    }
-  }
-  const Rref exact = ReduceToRrefExact(m);
-  failpoint::Config cfg;
-  cfg.action = failpoint::Action::kCancel;
-  cfg.hit_on = 1;
-  failpoint::Arm("modular/crt_fold", cfg);
-  ExecContext exec{ExecLimits{}};
-  GovernedRref tripped = TryModularRrefGoverned(m, exec);
-  EXPECT_FALSE(tripped.rref.has_value());
-  EXPECT_EQ(tripped.status.code, ExecCode::kCancelled);
-  failpoint::DisarmAll();
-  ExecContext fresh{ExecLimits{}};
-  GovernedRref rerun = TryModularRrefGoverned(m, fresh);
-  ASSERT_TRUE(rerun.status.ok());
-  ASSERT_TRUE(rerun.rref.has_value());
-  EXPECT_EQ(rerun.rref->matrix, exact.matrix);
 }
 
 TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {

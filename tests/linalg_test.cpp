@@ -2,6 +2,7 @@
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
+#include "test_matrices.h"
 #include "util/rng.h"
 
 namespace bagdet {
@@ -60,6 +61,19 @@ TEST(MatTest, TransposeAndRowsCols) {
   EXPECT_EQ(m.Row(1), (Vec{Q(3), Q(4)}));
   EXPECT_EQ(m.Col(1), (Vec{Q(2), Q(4), Q(6)}));
   EXPECT_EQ(t.At(0, 2), Q(5));
+}
+
+TEST(MatStorageTest, SwapRowsAndReserve) {
+  Mat m{{Q(1), Q(2)}, {Q(3), Q(4)}, {Q(5), Q(6)}};
+  m.SwapRows(0, 2);
+  EXPECT_EQ(m.Row(0), (Vec{Q(5), Q(6)}));
+  EXPECT_EQ(m.Row(2), (Vec{Q(1), Q(2)}));
+  m.SwapRows(1, 1);  // No-op.
+  EXPECT_EQ(m.Row(1), (Vec{Q(3), Q(4)}));
+  Mat n;
+  n.Reserve(4, 4);  // Shape unchanged; just capacity.
+  EXPECT_EQ(n.rows(), 0u);
+  EXPECT_EQ(n.cols(), 0u);
 }
 
 TEST(MatTest, FromColumnsAndRows) {
@@ -237,6 +251,163 @@ TEST_P(GaussRandomTest, RankNullityTheorem) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GaussRandomTest,
                          ::testing::Values(21, 22, 23, 24));
+
+// --- Public entry points against independent oracles -----------------------
+//
+// Each operation is checked by a property that does not reuse its own
+// answer: the RREF by its shape and its row space, the inverse by the
+// product, the rank by the determinant (Bareiss on integer matrices,
+// forward elimination otherwise), solutions and kernel vectors by
+// substitution. The matrices come from the
+// shared generators in tests/test_matrices.h; BAGDET_DIFF_ITERS scales the
+// case counts, and a failing case's seed is appended to
+// BAGDET_FAIL_SEED_FILE.
+
+/// Draws one matrix from the regime `regime` (0..3): small rationals,
+/// 128-bit low-rank integers, Hilbert-like, sparse. All are at most 7×7,
+/// the size of the pipeline's largest evaluation matrix.
+Mat OracleMatrix(int regime, Rng* rng) {
+  const std::size_t rows = 1 + rng->Below(7);
+  const std::size_t cols = 1 + rng->Below(7);
+  switch (regime) {
+    case 0:
+      return testmat::RandomRationalMatrix(rng, rows, cols, 12, 12);
+    case 1: {
+      const std::size_t n = 2 + rng->Below(6);
+      return testmat::RandomBigLowRankMatrix(rng, n, 1 + rng->Below(n), 4);
+    }
+    case 2:
+      return testmat::HilbertLikeMatrix(1 + rng->Below(7), rng->Below(3));
+    default:
+      return testmat::RandomSparseMatrix(rng, rows, cols, 1, 3, -6, 6);
+  }
+}
+
+Mat StackRows(const Mat& top, const Mat& bottom) {
+  Mat out(top.rows() + bottom.rows(), top.cols());
+  for (std::size_t r = 0; r < top.rows(); ++r) {
+    for (std::size_t c = 0; c < top.cols(); ++c) out.At(r, c) = top.At(r, c);
+  }
+  for (std::size_t r = 0; r < bottom.rows(); ++r) {
+    for (std::size_t c = 0; c < top.cols(); ++c) {
+      out.At(top.rows() + r, c) = bottom.At(r, c);
+    }
+  }
+  return out;
+}
+
+void ExpectRrefShape(const Mat& a, const Rref& rref) {
+  ASSERT_EQ(rref.matrix.rows(), a.rows());
+  ASSERT_EQ(rref.matrix.cols(), a.cols());
+  ASSERT_EQ(rref.pivots.size(), rref.rank);
+  for (std::size_t i = 0; i < rref.rank; ++i) {
+    const std::size_t p = rref.pivots[i];
+    if (i > 0) EXPECT_LT(rref.pivots[i - 1], p);
+    for (std::size_t c = 0; c < p; ++c) {
+      EXPECT_TRUE(rref.matrix.At(i, c).IsZero()) << "row " << i;
+    }
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      EXPECT_EQ(rref.matrix.At(r, p), Q(r == i ? 1 : 0)) << "pivot col " << p;
+    }
+  }
+  for (std::size_t r = rref.rank; r < a.rows(); ++r) {
+    EXPECT_TRUE(rref.matrix.Row(r).IsZero()) << "row " << r;
+  }
+  // Same row space: stacking the RREF under A adds no rank, and the RREF
+  // alone already has all of it.
+  EXPECT_EQ(Rank(StackRows(a, rref.matrix)), rref.rank);
+  EXPECT_EQ(Rank(rref.matrix), rref.rank);
+}
+
+void CheckAgainstOracles(const Mat& a, Rng* rng) {
+  const Rref rref = ReduceToRref(a);
+  ExpectRrefShape(a, rref);
+  const std::size_t rank = Rank(a);
+  EXPECT_EQ(rank, rref.rank);
+  EXPECT_EQ(rank, Rank(a.Transposed()));
+
+  // Kernel: cols - rank independent vectors, each with A·v = 0.
+  const std::vector<Vec> kernel = NullspaceBasis(a);
+  EXPECT_EQ(kernel.size(), a.cols() - rank);
+  for (const Vec& v : kernel) EXPECT_TRUE(a.Apply(v).IsZero());
+  if (!kernel.empty()) EXPECT_EQ(Rank(Mat::FromRows(kernel)), kernel.size());
+
+  // A consistent right-hand side b = A·x0 must be solved exactly.
+  Vec x0(a.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) x0[i] = Q(rng->Range(-4, 4));
+  const Vec b = a.Apply(x0);
+  const std::optional<Vec> x = SolveLinearSystem(a, b);
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(a.Apply(*x), b);
+
+  if (a.rows() != a.cols()) {
+    EXPECT_FALSE(IsNonsingular(a));
+    EXPECT_FALSE(Inverse(a).has_value());
+    return;
+  }
+  const std::size_t n = a.rows();
+  const bool det_nonzero = !Determinant(a).IsZero();
+  EXPECT_EQ(IsNonsingular(a), rank == n);
+  EXPECT_EQ(det_nonzero, rank == n);
+  const std::optional<Mat> inv = Inverse(a);
+  EXPECT_EQ(inv.has_value(), det_nonzero);
+  if (inv.has_value()) {
+    EXPECT_EQ(a.Multiply(*inv), Mat::Identity(n));
+    EXPECT_EQ(inv->Multiply(a), Mat::Identity(n));
+  }
+}
+
+TEST(GaussOracleTest, EntryPointsSatisfyIndependentOracles) {
+  const int iters = 25 * testmat::DiffIterScale();
+  for (int regime = 0; regime < 4; ++regime) {
+    for (int i = 0; i < iters; ++i) {
+      const std::uint64_t seed = 1000u * static_cast<std::uint64_t>(regime) +
+                                 static_cast<std::uint64_t>(i);
+      SCOPED_TRACE(::testing::Message() << "regime " << regime << " seed "
+                                        << seed);
+      const bool failed_before = ::testing::Test::HasFailure();
+      Rng rng(seed);
+      CheckAgainstOracles(OracleMatrix(regime, &rng), &rng);
+      if (!failed_before && ::testing::Test::HasFailure()) {
+        testmat::RecordFailureSeed(seed);
+      }
+    }
+  }
+}
+
+TEST(GaussOracleTest, BareissDeterminantMatchesExact) {
+  // An integer matrix takes the Bareiss path; A/2 has a half-integer entry
+  // and takes plain elimination over Q. det(A) = 2^n · det(A/2).
+  const Rational half = Q(1, 2);
+  Rng rng(7);
+  const int iters = 60 * testmat::DiffIterScale();
+  for (int i = 0; i < iters; ++i) {
+    const std::size_t n = 2 + rng.Below(6);
+    Mat a;
+    switch (rng.Below(3)) {
+      case 0:
+        a = testmat::RandomIntMatrix(&rng, n, n, -8, 8);
+        break;
+      case 1:
+        a = testmat::RandomBigMatrix(&rng, n, n, 4);
+        break;
+      default:
+        a = testmat::RandomBigLowRankMatrix(&rng, n, 1 + rng.Below(n), 4);
+        break;
+    }
+    a.At(0, 0) = a.At(0, 0) * Q(2) + Q(1);  // Odd, so A/2 is not integral.
+    Mat scaled(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) scaled.At(r, c) = a.At(r, c) * half;
+    }
+    const Rational det = Determinant(a);
+    EXPECT_TRUE(det.IsInteger());
+    EXPECT_EQ(det,
+              Determinant(scaled) * Rational(BigInt::Pow(BigInt(2), n)))
+        << "case " << i;
+    EXPECT_EQ(det.IsZero(), Rank(a) < n) << "case " << i;
+  }
+}
 
 }  // namespace
 }  // namespace bagdet

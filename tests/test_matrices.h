@@ -1,11 +1,9 @@
 // Shared deterministic random-matrix generators for the linear-algebra
-// differential suites and benchmarks. Before this header the same
-// RandomBig / big-entry / huge-low-rank generators were copy-pasted
-// across tests/modular_linalg_test.cpp, tests/concurrency_test.cpp and
-// bench/bench_linalg.cpp, and drifted (one bench copy drew low-rank
-// combination coefficients per *entry*, which silently destroys the
-// linear dependence the benchmark claims to measure). Header-only, no
-// gtest dependency, so bench/ can include it too.
+// tests, benchmarks and the tuning tool. One copy, so the generators
+// cannot drift (a per-*entry* draw of the low-rank combination
+// coefficients would silently destroy the linear dependence a low-rank
+// case claims to test). Header-only, no gtest dependency, so bench/ and
+// tools/ can include it too.
 
 #ifndef BAGDET_TESTS_TEST_MATRICES_H_
 #define BAGDET_TESTS_TEST_MATRICES_H_
@@ -86,9 +84,7 @@ inline Mat RandomBigMatrix(Rng* rng, std::size_t rows, std::size_t cols,
 /// `rank` rows are random, every later row is a small positive integer
 /// combination of them with ONE coefficient per basis row (a per-entry
 /// draw would destroy the linear dependence and collapse the RREF to the
-/// identity). This is the regime where the multi-modular driver must
-/// reconstruct genuinely large rationals and the verification certificate
-/// dominates.
+/// identity). Its RREF holds genuinely large rationals.
 inline Mat RandomBigLowRankMatrix(Rng* rng, std::size_t n, std::size_t rank,
                                   int limbs) {
   Mat m(n, n);
@@ -116,7 +112,7 @@ inline Mat RandomBigLowRankMatrix(Rng* rng, std::size_t n, std::size_t rank,
 /// Hilbert-like ill-conditioned matrix: At(i, j) = 1 / (i + j + 1 +
 /// offset). Nonsingular for every n (Cauchy structure) with inverse
 /// entries that blow up combinatorially — the classic stress case for
-/// rational reconstruction bounds.
+/// exact elimination.
 inline Mat HilbertLikeMatrix(std::size_t n, std::size_t offset = 0) {
   Mat m(n, n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,8 +1,8 @@
 // Tuning-profile subsystem (util/tuning.h): strict typed parsing with
 // defaults fallback, env-var round-trip, and the load-bearing contract —
 // every knob is dispatch-only, so an adversarial profile that forces every
-// gate on or off yields bit-identical results from the hom counter, the
-// modular linalg drivers, and the end-to-end determinacy decision.
+// gate on or off yields bit-identical results from the hom counter and the
+// end-to-end determinacy decision.
 
 #include "util/tuning.h"
 
@@ -11,20 +11,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/determinacy.h"
-#include "linalg/gauss.h"
-#include "linalg/matrix.h"
 #include "query/cq.h"
 #include "structs/generator.h"
 #include "structs/structure.h"
 #include "hom/hom.h"
 #include "util/rng.h"
-
-#include "test_matrices.h"
 
 namespace bagdet {
 namespace {
@@ -57,11 +52,6 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
   // The stock profile IS the pre-profile constant table; if one of these
   // moves, pre-PR behavior is no longer the no-profile behavior.
   const TuningProfile& t = Tuning();
-  EXPECT_EQ(t.inverse_modular_min_dim, 4u);
-  EXPECT_EQ(t.inverse_modular_always_dim, 9u);
-  EXPECT_EQ(t.inverse_modular_entry_bits, 32u);
-  EXPECT_EQ(t.dixon_min_dim, 64u);
-  EXPECT_EQ(t.modular_num_threads, 0u);
   EXPECT_EQ(t.order_search_max_atoms, 12u);
   EXPECT_EQ(t.domain_min_work, static_cast<std::uint64_t>(1) << 12);
   EXPECT_EQ(t.parallel_split_min_work, static_cast<std::uint64_t>(1) << 16);
@@ -76,7 +66,6 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
 
 TEST_F(TuningTest, SerializeParseRoundTrip) {
   TuningProfile p;
-  p.dixon_min_dim = 48;
   p.order_search_max_atoms = 9;
   p.domain_min_work = 123456;
   p.parallel_split_chunks_per_lane = 4;
@@ -93,23 +82,23 @@ TEST_F(TuningTest, CommentsWhitespaceAndPartialProfilesParse) {
   std::optional<TuningProfile> parsed = ParseTuningProfile(
       "# calibrated on host-x\n"
       "\n"
-      "  dixon_min_dim =  32 \n"
+      "  order_search_max_atoms =  7 \n"
       "\t# trailing comment line\n",
       &error);
   ASSERT_TRUE(parsed.has_value()) << error.ToString();
-  EXPECT_EQ(parsed->dixon_min_dim, 32u);
+  EXPECT_EQ(parsed->order_search_max_atoms, 7u);
   // Unmentioned keys keep their defaults.
-  EXPECT_EQ(parsed->order_search_max_atoms, 12u);
+  EXPECT_EQ(parsed->domain_min_work, static_cast<std::uint64_t>(1) << 12);
 }
 
 TEST_F(TuningTest, MalformedLinesAreTypedSyntaxErrors) {
   const char* cases[] = {
-      "dixon_min_dim\n",               // No '='.
-      "dixon_min_dim = \n",            // Empty value.
-      "dixon_min_dim = abc\n",         // Not a number.
-      "dixon_min_dim = -3\n",          // Signed.
-      "dixon_min_dim = 0x10\n",        // Hex.
-      "dixon_min_dim = 99999999999999999999999999\n",  // u64 overflow.
+      "order_search_max_atoms\n",         // No '='.
+      "order_search_max_atoms = \n",      // Empty value.
+      "order_search_max_atoms = abc\n",   // Not a number.
+      "order_search_max_atoms = -3\n",    // Signed.
+      "order_search_max_atoms = 0x10\n",  // Hex.
+      "order_search_max_atoms = 99999999999999999999999999\n",  // Overflow.
   };
   for (const char* text : cases) {
     TuningError error{};
@@ -122,11 +111,12 @@ TEST_F(TuningTest, MalformedLinesAreTypedSyntaxErrors) {
 TEST_F(TuningTest, UnknownKeyIsTyped) {
   TuningError error{};
   EXPECT_FALSE(
-      ParseTuningProfile("dixon_min_dim = 8\ndixon_mindim = 8\n", &error)
+      ParseTuningProfile(
+          "order_search_max_atoms = 8\norder_search_maxatoms = 8\n", &error)
           .has_value());
   EXPECT_EQ(error.code, TuningErrorCode::kUnknownKey);
   EXPECT_EQ(error.line, 2);
-  EXPECT_NE(error.message.find("dixon_mindim"), std::string::npos);
+  EXPECT_NE(error.message.find("order_search_maxatoms"), std::string::npos);
 }
 
 TEST_F(TuningTest, OutOfRangeValuesAreTyped) {
@@ -138,10 +128,10 @@ TEST_F(TuningTest, OutOfRangeValuesAreTyped) {
       {"order_search_max_atoms = 17\n", 1},      // Engine hard cap is 16.
       {"parallel_split_chunks_per_lane = 0\n", 1},
       {"hom_cache_max_entries = 0\n", 1},
-      {"inverse_modular_entry_bits = 0\n", 1},
+      {"hom_cache_max_bytes = 0\n", 1},
       {"num_threads = 100000\n", 1},
-      // Cross-field constraint: reported against the whole file (line 0).
-      {"inverse_modular_min_dim = 10\ninverse_modular_always_dim = 6\n", 0},
+      // Reported against the line that set it, not the first line.
+      {"order_search_max_atoms = 4\nhom_num_threads = 5000\n", 2},
   };
   for (const Case& c : cases) {
     TuningError error{};
@@ -168,20 +158,19 @@ TEST_F(TuningTest, MissingFileIsIoErrorAndInvalidSetIsRejected) {
 
 TEST_F(TuningTest, EnvVarRoundTrip) {
   TuningProfile p;
-  p.dixon_min_dim = 24;
   p.order_search_max_atoms = 8;
   p.hom_cache_max_bytes = 1u << 20;
   const std::string path = WriteTempProfile(SerializeTuningProfile(p), "env");
   ASSERT_EQ(::setenv("BAGDET_TUNING_PROFILE", path.c_str(), 1), 0);
   EXPECT_FALSE(ReloadTuningFromEnv().has_value());
-  EXPECT_EQ(Tuning().dixon_min_dim, 24u);
   EXPECT_EQ(Tuning().order_search_max_atoms, 8u);
   EXPECT_EQ(Tuning().hom_cache_max_bytes, 1u << 20);
 
   // Unset → defaults restored.
   ::unsetenv("BAGDET_TUNING_PROFILE");
   EXPECT_FALSE(ReloadTuningFromEnv().has_value());
-  EXPECT_EQ(Tuning().dixon_min_dim, 64u);
+  EXPECT_EQ(Tuning().order_search_max_atoms, 12u);
+  EXPECT_EQ(Tuning().hom_cache_max_bytes, 256ull << 20);
 }
 
 TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
@@ -199,24 +188,19 @@ TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
   error = ReloadTuningFromEnv();
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, TuningErrorCode::kIoError);
-  EXPECT_EQ(Tuning().dixon_min_dim, 64u);
+  EXPECT_EQ(Tuning().order_search_max_atoms, 12u);
 }
 
 // --- Dispatch-only differential -------------------------------------------
 //
 // Two adversarial profiles bracketing the stock one: kAllFast forces every
-// gated fast path on (modular from 1×1, Dixon always, domains + order
-// search + splitting always, max oversubscription, starved cache), kAllSlow
-// forces every gate off (exact-first inverse through n=2^20, CRT only, no
+// gated fast path on (domains + order search + splitting always, max
+// oversubscription, starved cache), kAllSlow forces every gate off (no
 // order search, huge engage thresholds, serial hom). Results must be
 // bit-identical across all three.
 
 TuningProfile AllFastProfile() {
   TuningProfile p;
-  p.inverse_modular_min_dim = 1;
-  p.inverse_modular_always_dim = 1;
-  p.inverse_modular_entry_bits = 1;
-  p.dixon_min_dim = 1;            // Dixon path from n=1.
   p.order_search_max_atoms = 16;  // Engine hard cap.
   p.domain_min_work = 0;          // Always build domains.
   p.parallel_split_min_work = 0;  // Split whenever a second lane exists.
@@ -228,14 +212,9 @@ TuningProfile AllFastProfile() {
 
 TuningProfile AllSlowProfile() {
   TuningProfile p;
-  p.inverse_modular_min_dim = 1u << 20;  // Exact inverse always.
-  p.inverse_modular_always_dim = 1u << 20;
-  p.inverse_modular_entry_bits = 1u << 29;
-  p.dixon_min_dim = std::numeric_limits<std::size_t>::max();  // CRT always.
   p.order_search_max_atoms = 0;   // Greedy order only.
   p.domain_min_work = 1ull << 40; // Domain layer never engages.
   p.parallel_split_min_work = 1ull << 40;
-  p.modular_num_threads = 1;      // Serial fold.
   p.hom_num_threads = 1;
   return p;
 }
@@ -258,24 +237,6 @@ TEST_F(TuningTest, ExtremeProfilesKeepHomCountsBitIdentical) {
       EXPECT_EQ(CountHoms(pairs[i].first, pairs[i].second), baseline[i])
           << "pair " << i;
     }
-  }
-}
-
-TEST_F(TuningTest, ExtremeProfilesKeepLinalgBitIdentical) {
-  Rng rng(777);
-  const Mat small = testmat::RandomIntMatrix(&rng, 5, 5, -9, 9);
-  const Mat big = testmat::RandomBigMatrix(&rng, 6, 6, 4);  // 128-bit.
-  const std::optional<Mat> inv_small_ref = InverseExact(small);
-  const std::optional<Mat> inv_big_ref = InverseExact(big);
-  const Rref rref_ref = ReduceToRrefExact(big);
-  for (const TuningProfile& p :
-       {TuningProfile{}, AllFastProfile(), AllSlowProfile()}) {
-    ASSERT_FALSE(SetTuningProfile(p).has_value());
-    EXPECT_EQ(Inverse(small) == inv_small_ref, true);
-    EXPECT_EQ(Inverse(big) == inv_big_ref, true);
-    const Rref rref = ReduceToRref(big);
-    EXPECT_TRUE(rref.matrix == rref_ref.matrix);
-    EXPECT_EQ(rref.rank, rref_ref.rank);
   }
 }
 

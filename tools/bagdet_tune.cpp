@@ -2,11 +2,10 @@
 //
 // Every gate in the library's TuningProfile (util/tuning.h) defaults to a
 // crossover measured on the 1-core reference host. This tool re-measures
-// each crossover on the machine it runs on — modular-vs-exact inverse by
-// dimension and entry size, Dixon-vs-CRT, the hom-core order-search and
+// each crossover on the machine it runs on — the hom-core order-search and
 // domain-engage thresholds, thread-pool width, parallel-split chunking —
 // using the same seeded generators the differential suites trust
-// (tests/test_matrices.h, structs/generator.h), then writes
+// (structs/generator.h), then writes
 //
 //   * a tuning profile (`key = value`, loadable via BAGDET_TUNING_PROFILE)
 //     re-pointing the library's dispatch defaults at the measured machine,
@@ -20,10 +19,10 @@
 // automated sweep safe to run in CI.
 //
 // Usage: bagdet_tune [--dry-run | --full] [--out <profile>] [--report <json>]
-//   --dry-run   Minimal sweep (~seconds): smoke coverage for CI and the
+//   --dry-run   Minimal sweep: smoke coverage for CI and the
 //               nightly artifact. Chosen values are written as usual but a
 //               dry-run profile is a liveness artifact, not a calibration.
-//   (default)   Bounded sweep (~1 min): the perf-gate configuration.
+//   (default)   Bounded sweep: the perf-gate configuration.
 //   --full      Extended sizes and repetitions for a committed profile.
 // Exit codes: 0 = profile + report written, 1 = write failure, 2 = usage.
 
@@ -43,17 +42,12 @@
 #include <vector>
 
 #include "hom/hom.h"
-#include "linalg/gauss.h"
-#include "linalg/matrix.h"
-#include "linalg/modular_solve.h"
 #include "structs/generator.h"
 #include "structs/schema.h"
 #include "structs/structure.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/tuning.h"
-
-#include "tests/test_matrices.h"
 
 #ifdef __unix__
 #include <sys/utsname.h>
@@ -138,129 +132,6 @@ std::string JsonEscape(const std::string& s) {
 }
 
 // --- Sweeps ----------------------------------------------------------------
-
-/// Modular-vs-exact inverse crossovers. Returns the word-size always-on
-/// dimension and the big-entry (>= 32 bit) minimum dimension.
-Sweep SweepInverseGate(Mode mode, std::size_t* min_dim, std::size_t* always_dim) {
-  const int reps = mode == Mode::kDryRun ? 1 : (mode == Mode::kFull ? 5 : 3);
-  const std::size_t max_n_word = mode == Mode::kDryRun ? 6 : 12;
-  const std::size_t max_n_big = mode == Mode::kDryRun ? 5 : 8;
-  Sweep sweep;
-  sweep.name = "inverse_gate";
-  sweep.columns = "n/<entries>, exact_ms, modular_ms";
-  Rng rng(101);
-
-  // Word-size entries: find the dimension from which modular always wins.
-  std::size_t word_crossover = max_n_word + 1;
-  for (std::size_t n = 3; n <= max_n_word; ++n) {
-    const Mat m = testmat::RandomIntMatrix(&rng, n, n, -999, 999);
-    Point p;
-    p.label = std::to_string(n) + "/word";
-    p.ms_a = TimeMs([&] { InverseExact(m); }, reps);
-    p.ms_b = TimeMs(
-        [&] {
-          ModularOptions options;
-          TryModularInverse(m, options);
-        },
-        reps);
-    if (p.ms_b < p.ms_a) {
-      word_crossover = std::min(word_crossover, n);
-    } else {
-      word_crossover = max_n_word + 1;  // Must win from here on out.
-    }
-    sweep.points.push_back(std::move(p));
-  }
-
-  // >= 32-bit entries: find the minimum dimension where modular wins.
-  std::size_t big_crossover = max_n_big + 1;
-  for (std::size_t n = 3; n <= max_n_big; ++n) {
-    const Mat m = testmat::RandomBigMatrix(&rng, n, n, 2);  // 64-bit entries.
-    Point p;
-    p.label = std::to_string(n) + "/big";
-    p.ms_a = TimeMs([&] { InverseExact(m); }, reps);
-    p.ms_b = TimeMs(
-        [&] {
-          ModularOptions options;
-          TryModularInverse(m, options);
-        },
-        reps);
-    if (p.ms_b < p.ms_a) {
-      big_crossover = std::min(big_crossover, n);
-    } else {
-      big_crossover = max_n_big + 1;
-    }
-    sweep.points.push_back(std::move(p));
-  }
-
-  // Fall back to the stock constants when no crossover showed inside the
-  // sweep (keep a sane min <= always ordering either way).
-  *always_dim = word_crossover <= max_n_word ? word_crossover
-                                             : TuningProfile{}.inverse_modular_always_dim;
-  *min_dim = big_crossover <= max_n_big ? big_crossover
-                                        : TuningProfile{}.inverse_modular_min_dim;
-  *min_dim = std::min(*min_dim, *always_dim);
-  std::ostringstream decision;
-  decision << "inverse_modular_min_dim=" << *min_dim
-           << " inverse_modular_always_dim=" << *always_dim;
-  sweep.decision = decision.str();
-  return sweep;
-}
-
-/// Dixon-vs-CRT inverse crossover on dense 256-bit-entry matrices.
-Sweep SweepDixon(Mode mode, std::size_t* dixon_min_dim) {
-  const int reps = mode == Mode::kDryRun ? 1 : 2;
-  std::vector<std::size_t> sizes;
-  if (mode == Mode::kDryRun) {
-    sizes = {8, 12};
-  } else if (mode == Mode::kFull) {
-    sizes = {8, 12, 16, 24, 32, 40};
-  } else {
-    sizes = {8, 12, 16, 24};
-  }
-  Sweep sweep;
-  sweep.name = "dixon_vs_crt";
-  sweep.columns = "n, crt_ms, dixon_ms";
-  Rng rng(202);
-  std::size_t crossover = 0;
-  bool dixon_ahead_tail = false;
-  for (std::size_t n : sizes) {
-    const Mat m = testmat::RandomBigMatrix(&rng, n, n, 8);  // 256-bit.
-    Point p;
-    p.label = std::to_string(n);
-    p.ms_a = TimeMs(
-        [&] {
-          ModularOptions options;
-          options.dixon_min_dim = std::numeric_limits<std::size_t>::max();
-          TryModularInverse(m, options);
-        },
-        reps);
-    p.ms_b = TimeMs(
-        [&] {
-          ModularOptions options;
-          options.dixon_min_dim = 1;
-          TryModularInverse(m, options);
-        },
-        reps);
-    if (p.ms_b < p.ms_a) {
-      if (!dixon_ahead_tail) crossover = n;
-      dixon_ahead_tail = true;
-    } else {
-      dixon_ahead_tail = false;
-    }
-    sweep.points.push_back(std::move(p));
-  }
-  // Dixon must be ahead from the crossover through the end of the sweep;
-  // otherwise retain the stock default (CRT ahead everywhere measured).
-  *dixon_min_dim =
-      dixon_ahead_tail && crossover != 0 ? crossover
-                                         : TuningProfile{}.dixon_min_dim;
-  std::ostringstream decision;
-  decision << "dixon_min_dim=" << *dixon_min_dim
-           << (dixon_ahead_tail ? " (measured crossover)"
-                                : " (no crossover in sweep; default retained)");
-  sweep.decision = decision.str();
-  return sweep;
-}
 
 /// Shared hom workload for the order-search / domain-threshold sweeps: a
 /// mix of small fast-path pairs and mid-size domain-core pairs.
@@ -347,8 +218,7 @@ Sweep SweepDomainMinWork(Mode mode, const HomWorkload& w,
   return sweep;
 }
 
-/// Thread-pool width: wall time of the two pool-heavy kernels (the
-/// many-prime modular RREF fold and a split hom count) at every power-of-2
+/// Thread-pool width: wall time of a split hom count at every power-of-2
 /// width up to the hardware, plus the hardware width itself.
 Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
                        std::size_t* chunks_per_lane) {
@@ -358,8 +228,6 @@ Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
   widths.push_back(hw_cpus);
 
   Rng rng(404);
-  const std::size_t n = mode == Mode::kDryRun ? 10 : 16;
-  const Mat rank_deficient = testmat::RandomBigLowRankMatrix(&rng, n, 4, 8);
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("E", 2);
   const Structure from =
@@ -368,7 +236,7 @@ Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
 
   Sweep sweep;
   sweep.name = "thread_width";
-  sweep.columns = "width, modular_rref_ms, hom_split_ms";
+  sweep.columns = "width, hom_split_ms";
   double best_ms = std::numeric_limits<double>::infinity();
   std::size_t best_width = 1;
   for (std::size_t width : widths) {
@@ -377,21 +245,14 @@ Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
     p.label = std::to_string(width);
     p.ms_a = TimeMs(
         [&] {
-          ModularOptions options;
-          options.num_threads = width;
-          TryModularRref(rank_deficient, options);
-        },
-        reps);
-    p.ms_b = TimeMs(
-        [&] {
           DpOptions options;
           options.num_threads = width;
           options.parallel_split_min_work = 0;
           CountHoms(from, to, options);
         },
         reps);
-    if (p.ms_a + p.ms_b < best_ms) {
-      best_ms = p.ms_a + p.ms_b;
+    if (p.ms_a < best_ms) {
+      best_ms = p.ms_a;
       best_width = width;
     }
     sweep.points.push_back(std::move(p));
@@ -535,11 +396,6 @@ int Run(int argc, char** argv) {
 
   TuningProfile chosen;
   std::vector<Sweep> sweeps;
-  sweeps.push_back(SweepInverseGate(mode, &chosen.inverse_modular_min_dim,
-                                    &chosen.inverse_modular_always_dim));
-  std::cerr << "  " << sweeps.back().decision << "\n";
-  sweeps.push_back(SweepDixon(mode, &chosen.dixon_min_dim));
-  std::cerr << "  " << sweeps.back().decision << "\n";
   const HomWorkload workload = MakeHomWorkload(mode);
   sweeps.push_back(
       SweepOrderSearch(mode, workload, &chosen.order_search_max_atoms));
