@@ -89,115 +89,6 @@ void BM_InjectiveHoms(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectiveHoms)->Args({3, 6})->Args({4, 7})->Args({5, 8});
 
-// --- Domain core (PR-7) ablations -------------------------------------------
-//
-// The `domain_core` and `parallel_split` sections of BENCH_hom.json come
-// from these: the PR-1 baseline is the engine with domains, order search,
-// and splitting all off.
-
-DpOptions Pr1Options() {
-  DpOptions options;
-  options.use_domains = false;
-  options.order_search_max_atoms = 0;
-  options.num_threads = 1;
-  return options;
-}
-
-DpOptions DomainSerialOptions() {
-  DpOptions options;
-  options.num_threads = 1;  // Isolate the domain layer from the split.
-  return options;
-}
-
-/// Dense near-regular digraph: every bucket is big and uniform, so
-/// single-bucket selection alone barely narrows — the regime the domain
-/// layer targets. state.range(0) toggles the PR-1 baseline (0) against the
-/// domain core (1).
-void BM_DenseDigraphDomainCore(benchmark::State& state) {
-  auto schema = GraphSchema();
-  Rng rng(0xbe7c);
-  Structure from = RandomConnectedStructure(schema, 5, &rng, 3, 4);
-  Structure to = RandomStructure(schema, 24, &rng, 3, 4);
-  const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DomainSerialOptions();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(from, to, options));
-  }
-  state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
-}
-BENCHMARK(BM_DenseDigraphDomainCore)->Arg(0)->Arg(1);
-
-/// High-arity overlap instance: T-facts live on the low elements of the
-/// target and Q-facts on the high ones, so a variable shared between a
-/// T-atom and a Q-atom only has support on the 4-element overlap. The
-/// arc-consistency fixpoint shrinks every domain to that overlap before
-/// the DP runs, so most candidate T-facts are rejected before table
-/// insertion; the PR-1 engine inserts them all and discovers the dead
-/// entries only at the final Q-join.
-void BM_HighArityDomainCore(benchmark::State& state) {
-  auto schema = std::make_shared<Schema>();
-  schema->AddRelation("T", 3);
-  schema->AddRelation("Q", 4);
-  Rng rng(0xa417);
-  Structure to(schema, 20);
-  for (int i = 0; i < 800; ++i) {
-    to.AddFact(0, {static_cast<Element>(rng.Below(14)),
-                   static_cast<Element>(rng.Below(14)),
-                   static_cast<Element>(rng.Below(14))});
-  }
-  for (int i = 0; i < 300; ++i) {
-    to.AddFact(1, {static_cast<Element>(10 + rng.Below(10)),
-                   static_cast<Element>(10 + rng.Below(10)),
-                   static_cast<Element>(10 + rng.Below(10)),
-                   static_cast<Element>(10 + rng.Below(10))});
-  }
-  Structure from(schema, 5);
-  from.AddFact(0, {0, 1, 2});
-  from.AddFact(0, {2, 3, 4});
-  from.AddFact(1, {1, 3, 4, 0});
-  const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DomainSerialOptions();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(from, to, options));
-  }
-  state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
-}
-BENCHMARK(BM_HighArityDomainCore)->Arg(0)->Arg(1);
-
-/// Small-structure fast path: tiny pairs where the domain layer must not
-/// cost anything measurable (the no-regression guard in BENCH_hom.json).
-void BM_SmallStructureFastPath(benchmark::State& state) {
-  auto schema = GraphSchema();
-  Structure path = PathGraph(schema, 3);
-  Structure clique = Clique(schema, 4);
-  const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DomainSerialOptions();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(path, clique, options));
-  }
-  state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
-}
-BENCHMARK(BM_SmallStructureFastPath)->Arg(0)->Arg(1);
-
-/// Parallel single-count split: one big count partitioned across the
-/// pool. Sweeps the lane count; 1 lane = the serial engine, so the sweep
-/// doubles as the split-overhead measurement. Bit-identity across the
-/// sweep is asserted by hom_domain_test; this measures it.
-void BM_CountHomsSplit(benchmark::State& state) {
-  auto schema = GraphSchema();
-  Structure path = PathGraph(schema, 12);
-  Structure clique = Clique(schema, 48);
-  DpOptions options;
-  options.num_threads = static_cast<std::size_t>(state.range(0));
-  options.parallel_split_min_work = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(path, clique, options));
-  }
-  state.SetLabel("threads=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_CountHomsSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
 void BM_MultiComponentDecomposition(benchmark::State& state) {
   // Lemma 4(5) decomposition: many small components multiply.
   auto schema = GraphSchema();

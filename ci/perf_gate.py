@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression gate over google-benchmark JSON output.
 
-The CI perf-gate job regenerates the pinned thread-sweep benchmarks with
+The CI perf-gate job regenerates the pinned decide benchmarks with
 ``--benchmark_format=json`` and this script compares them against a
 committed per-runner baseline, failing the job when any pinned benchmark's
 wall clock regresses beyond the noise tolerance. Stdlib-only by design —
@@ -16,7 +16,7 @@ check        Compare current runs against a baseline. Exit 1 on any
 baseline     Write a baseline file from current runs (the refresh path:
              run the perf-gate workflow, download the candidate artifact,
              commit it under ci/perf-baselines/<runner>.json).
-sweep-entry  Convert a thread-sweep benchmark JSON into the per-machine
+sweep-entry  Convert a pinned benchmark JSON into the per-machine
              entry format committed in BENCH_concurrency.json.
 selftest     Prove the gate can fail: synthesize a baseline and a current
              run 30% slower, assert check() rejects it (and accepts the
@@ -25,24 +25,21 @@ selftest     Prove the gate can fail: synthesize a baseline and a current
 
 Baseline format::
 
-    {"runner": "ubuntu-latest", "fingerprint": "<bagdet_tune slug>",
+    {"runner": "ubuntu-latest", "fingerprint": "<uname -m>-<nproc>c",
      "tolerance": 0.25,
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
-dispatch-sensitive sweeps (hom split sweep, decide loop), not every
-microbenchmark, so a refactor adding benches does not
-invalidate baselines.
+end-to-end decide loop, not every microbenchmark, so a refactor adding
+benches does not invalidate baselines.
 """
 
 import argparse
 import json
 import sys
 
-# Benchmarks worth gating: the thread sweeps whose shape the tuning
-# subsystem exists to keep honest, plus the end-to-end decide loop.
+# Benchmarks worth gating: the end-to-end decide loop, plain and governed.
 PINNED_PREFIXES = (
-    "BM_CountHomsSplit",
     "BM_DecideDetermined",
 )
 
@@ -193,7 +190,8 @@ def cmd_sweep_entry(args):
 def cmd_selftest(_args):
     base_times = {
         "BM_DecideDetermined/4": {"real_time_ns": 1e6, "cpu_time_ns": 1e6},
-        "BM_CountHomsSplit/4": {"real_time_ns": 2e6, "cpu_time_ns": 2e6},
+        "BM_DecideDeterminedGoverned/4": {"real_time_ns": 2e6,
+                                          "cpu_time_ns": 2e6},
     }
     baseline = make_baseline("selftest", "selftest", base_times,
                              DEFAULT_TOLERANCE)
@@ -225,7 +223,7 @@ def cmd_selftest(_args):
         return 1
 
     missing = dict(slowed)
-    del missing["BM_CountHomsSplit/4"]
+    del missing["BM_DecideDeterminedGoverned/4"]
     missing["BM_DecideDetermined/4"] = base_times["BM_DecideDetermined/4"]
     failures, _ = check(baseline, missing)
     if not failures:

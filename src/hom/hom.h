@@ -4,7 +4,8 @@
 // hom counts (Section 2.1), the evaluation matrix of Definition 37 is a
 // hom-count matrix, and set-semantics containment is hom existence. The
 // engine decomposes A into connected components (Lemma 4(5)) and counts
-// each component by backtracking joins over the facts of D.
+// each component by greedy-order variable elimination over the facts of D;
+// existence, injective counts and enumeration run a backtracking matcher.
 
 #ifndef BAGDET_HOM_HOM_H_
 #define BAGDET_HOM_HOM_H_
@@ -15,76 +16,12 @@
 
 #include "structs/structure.h"
 #include "util/bigint.h"
-#include "util/tuning.h"
 
 namespace bagdet {
-
-/// Knobs for the counting engine. The defaults are the production
-/// configuration; the ablation baselines in bench_hom flip them off to
-/// measure each layer (use_domains=false + order_search_max_atoms=0 +
-/// num_threads=1 is the PR-1 engine). Every machine-dependent threshold
-/// defaults from the active TuningProfile (util/tuning.h) — a calibration
-/// profile moves the crossovers, an explicitly assigned field overrides
-/// the profile for that call, and every setting is dispatch-only (counts
-/// are bit-identical under any combination).
-struct DpOptions {
-  /// Per-variable candidate domains (hom/domain.h): SVOBitsets seeded from
-  /// the positional index's occupancy masks, pre-pruned to an atom-support
-  /// fixpoint, and consulted on every candidate fact so infeasible
-  /// subtrees die before table insertion. The Matcher additionally
-  /// propagates domains as variables bind.
-  bool use_domains = true;
-
-  /// The domain layer has a fixed cost (model construction + the
-  /// atom-support fixpoint) that tiny instances never amortize, so it only
-  /// engages when the uniform-weight work estimate of the plan (sum over
-  /// steps of the domain-product table bound) reaches this many units AND
-  /// at least 4× the fixpoint's own bucket-scan cost. The default is the
-  /// measured crossover on the small-structure fast path
-  /// (BM_SmallStructureFastPath). 0 always builds domains.
-  double domain_min_work = static_cast<double>(Tuning().domain_min_work);
-
-  /// The exact subset-DP elimination-order search (scored by the
-  /// induced-width/domain-product table bound) runs during the
-  /// pruned-domain re-plan when a component has 3..this many atoms, at
-  /// most 64 variables, and the plan's estimated work is at least 8× the
-  /// search's own 2^atoms·atoms cost — the search never spends more than
-  /// it can save, and without pruned domains its score degenerates to
-  /// induced width where the greedy min-new-live-vars order is already
-  /// near-optimal. 0 disables the search entirely. The hard cap is 16
-  /// atoms (the subset table stays a few MB; see ROADMAP for the
-  /// measured crossover).
-  std::size_t order_search_max_atoms = Tuning().order_search_max_atoms;
-
-  /// A single component count is split across the global ThreadPool —
-  /// partitioning the first-bound variable's pruned domain into
-  /// per-worker sub-counts folded in fixed order, bit-identical at any
-  /// thread count — when the estimated DP work (sum over plan steps of
-  /// the live-domain-product table bound) reaches this many units.
-  /// Requires use_domains. 0 splits whenever a second lane exists.
-  double parallel_split_min_work =
-      static_cast<double>(Tuning().parallel_split_min_work);
-
-  /// Domain chunks carved per lane by the parallel split. 1 gives each
-  /// lane one contiguous slice (minimal fork/join overhead); larger
-  /// values oversubscribe so lanes whose slices propagate to empty can
-  /// steal the next chunk instead of idling. Sub-counts fold in fixed
-  /// chunk order, so every value is bit-identical.
-  std::size_t parallel_split_chunks_per_lane =
-      Tuning().parallel_split_chunks_per_lane;
-
-  /// Lanes for the parallel split: 0 = the global pool's full width,
-  /// 1 = always serial.
-  std::size_t num_threads = Tuning().hom_num_threads;
-};
 
 /// Number of homomorphisms from `from` to `to`. Exact (BigInt); note
 /// |hom(∅, D)| = 1.
 BigInt CountHoms(const Structure& from, const Structure& to);
-
-/// Same, with explicit engine knobs.
-BigInt CountHoms(const Structure& from, const Structure& to,
-                 const DpOptions& options);
 
 /// True iff at least one homomorphism exists (early-exit search).
 bool ExistsHom(const Structure& from, const Structure& to);

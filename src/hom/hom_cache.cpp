@@ -52,8 +52,7 @@ void HomCache::InsertCount(CountShard& shard, std::uint64_t key,
   }
 }
 
-BigInt HomCache::CountPair(StructureRef from, StructureRef to,
-                           bool serial_engine) {
+BigInt HomCache::Count(StructureRef from, StructureRef to) {
   ExecCheckPoint("homcache.count");
   const std::uint64_t key = PairKey(from, to);
   CountShard& shard = count_shards_[ShardIndex(key)];
@@ -67,22 +66,16 @@ BigInt HomCache::CountPair(StructureRef from, StructureRef to,
     }
     ++shard.misses;
   }
-  DpOptions options;
-  if (serial_engine) options.num_threads = 1;
-  BigInt count = CountHoms(pool_->At(from), pool_->At(to), options);
+  BigInt count = CountHoms(pool_->At(from), pool_->At(to));
   InsertCount(shard, key, count);
   return count;
-}
-
-BigInt HomCache::Count(StructureRef from, StructureRef to) {
-  return CountPair(from, to);
 }
 
 BigInt HomCache::Count(StructureRef from, const Structure& to) {
   if (to.DomainSize() > max_intern_domain_) {
     return CountHoms(pool_->At(from), to);
   }
-  return CountPair(from, pool_->Intern(to));
+  return Count(from, pool_->Intern(to));
 }
 
 BigInt HomCache::Count(const Structure& from, const Structure& to) {
@@ -90,7 +83,7 @@ BigInt HomCache::Count(const Structure& from, const Structure& to) {
   const StructureRef to_ref = pool_->Intern(to);
   BigInt product(1);
   for (StructureRef ref : ComponentRefs(from)) {
-    BigInt count = CountPair(ref, to_ref);
+    BigInt count = Count(ref, to_ref);
     if (count.IsZero()) return BigInt(0);
     product *= count;
   }
@@ -146,17 +139,14 @@ std::vector<BigInt> HomCache::BatchCountHoms(
   }
   if (pairs.size() <= 1 || num_threads == 1) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      results[i] = CountPair(pairs[i].first, pairs[i].second);
+      results[i] = Count(pairs[i].first, pairs[i].second);
     }
     return results;
   }
   GlobalThreadPool().ParallelFor(
       pairs.size(),
       [&](std::size_t i) {
-        // Workers fill the pool already — run each miss serially instead
-        // of nesting a parallel split per count.
-        results[i] = CountPair(pairs[i].first, pairs[i].second,
-                               /*serial_engine=*/true);
+        results[i] = Count(pairs[i].first, pairs[i].second);
       },
       num_threads);
   return results;

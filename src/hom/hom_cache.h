@@ -22,7 +22,7 @@
 //     functions of the interned classes, so eviction never changes results.
 //   * Hit/miss/eviction/footprint counters are exposed through stats() for
 //     tests and benchmarks; ResetStats() rezeroes the traffic counters.
-//   * Count/CountPair/BatchCountHoms are safe to call concurrently from
+//   * Count/BatchCountHoms are safe to call concurrently from
 //     any number of threads (the underlying StructurePool is sharded and
 //     its published representatives immutable). ComponentRefs is also
 //     thread-safe; the returned reference stays valid until the cache is
@@ -44,7 +44,6 @@
 #include "structs/pool.h"
 #include "structs/structure.h"
 #include "util/bigint.h"
-#include "util/tuning.h"
 
 namespace bagdet {
 
@@ -153,24 +152,15 @@ class HomCache {
     std::size_t bytes = 0;
   };
 
-  /// Returns the cached count or computes-and-caches it. Thread-safe.
-  /// `serial_engine` pins the miss computation to one lane — the batch
-  /// driver's workers already occupy the pool, so a nested parallel split
-  /// would only thrash it.
-  BigInt CountPair(StructureRef from, StructureRef to,
-                   bool serial_engine = false);
-
   /// Inserts under the shard lock and evicts LRU entries past the budgets.
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
   std::shared_ptr<StructurePool> pool_;
   std::size_t max_intern_domain_ = 256;
-  // Retention defaults from the active TuningProfile (stock profile: 2^20
-  // entries / 256 MiB, the serving-tier scale); set_max_entries/bytes and
-  // ServiceOptions overrides take precedence as before.
-  std::size_t max_entries_ = Tuning().hom_cache_max_entries;
-  std::size_t max_bytes_ =
-      static_cast<std::size_t>(Tuning().hom_cache_max_bytes);
+  // Serving-tier retention defaults; set_max_entries/bytes and
+  // ServiceOptions overrides replace them.
+  std::size_t max_entries_ = std::size_t{1} << 20;
+  std::size_t max_bytes_ = std::size_t{256} << 20;
 
   // Whole-structure canonical key → component refs. Guarded by
   // components_mu_; node-based map and never erased, so returned

@@ -24,8 +24,6 @@ StructureIndex::StructureIndex(const Structure& s)
       for (std::uint32_t id = 0; id < facts.size(); ++id) {
         index.fact_ids[cursor[facts[id][pos]]++] = id;
       }
-      index.present = SVOBitset(domain_size_);
-      for (const Tuple& fact : facts) index.present.Set(fact[pos]);
     }
   }
 }

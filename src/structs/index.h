@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "structs/structure.h"
-#include "util/bitset.h"
 
 namespace bagdet {
 
@@ -51,20 +50,12 @@ class StructureIndex {
     return Bucket(relation, pos, value).size();
   }
 
-  /// Bit d set iff some fact of `relation` carries d at `pos` — the unary
-  /// occupancy filter the candidate-domain layer (hom/domain.h) seeds
-  /// every variable's bitset from.
-  const SVOBitset& PresentMask(RelationId relation, std::size_t pos) const {
-    return positions_[relation][pos].present;
-  }
-
  private:
   // CSR buckets for one (relation, position): facts grouped by the element
   // they carry there.
   struct PositionIndex {
     std::vector<std::uint32_t> starts;    // domain_size + 1 offsets
     std::vector<std::uint32_t> fact_ids;  // one entry per fact
-    SVOBitset present;                    // elements with nonempty buckets
   };
 
   std::size_t domain_size_ = 0;

@@ -1,6 +1,7 @@
 #include "structs/text.h"
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -46,16 +47,24 @@ class Cursor {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  std::uint64_t ReadNumber() {
+  /// Reads a decimal number no larger than `max`; a larger one fails at
+  /// its first digit.
+  std::uint64_t ReadNumber(std::uint64_t max) {
     SkipSpaceAndComments();
     if (pos_ >= text_.size() ||
         !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       Fail("expected a number");
     }
+    const std::size_t start = pos_;
     std::uint64_t value = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
+      if (value > (max - digit) / 10) {
+        pos_ = start;
+        Fail("number out of range (max " + std::to_string(max) + ")");
+      }
+      value = value * 10 + digit;
       ++pos_;
     }
     return value;
@@ -93,7 +102,10 @@ Structure ParseStructure(std::string_view text,
   while (!cursor.AtEnd()) {
     std::string name = cursor.ReadName();
     if (name == "domain") {
-      s.EnsureDomain(static_cast<std::size_t>(cursor.ReadNumber()));
+      // The domain size plus one must fit: the positional index stores
+      // domain_size + 1 bucket offsets.
+      s.EnsureDomain(static_cast<std::size_t>(cursor.ReadNumber(
+          std::numeric_limits<std::size_t>::max() - 1)));
       cursor.TryConsume(',');  // Optional separator between entries.
       continue;
     }
@@ -101,7 +113,8 @@ Structure ParseStructure(std::string_view text,
     cursor.Expect('(');
     if (!cursor.TryConsume(')')) {
       for (;;) {
-        elements.push_back(static_cast<Element>(cursor.ReadNumber()));
+        elements.push_back(static_cast<Element>(
+            cursor.ReadNumber(std::numeric_limits<Element>::max())));
         if (cursor.TryConsume(')')) break;
         cursor.Expect(',');
       }

@@ -1,15 +1,11 @@
 // bagdet: small-vector-optimized fixed-width bitset.
 //
-// The domain layer of the hom core (hom/domain.h) keeps one candidate set
-// per source variable, sized by the target's domain, and the hot kernels
-// on those sets are intersection, population count, and first-set-bit
-// scans. Pipeline targets are overwhelmingly small — the interning layers
-// cap cached targets at 256 elements (HomCache::max_intern_domain) and
-// query bodies are far smaller — so SVOBitset stores up to kInlineWords
-// words (256 bits) directly in the object and only spills to the heap
-// above that. Copying a domain per search depth, which the Matcher does on
-// every backtracking node, is then a few word moves with no allocator
-// traffic.
+// The hom core's backtracking Matcher (hom/hom.cpp) intersects two
+// positional-index buckets by marking one bucket's fact ids in a bitset
+// and testing the other's against it. Pipeline targets are overwhelmingly
+// small, so SVOBitset stores up to kInlineWords words (256 bits) directly
+// in the object and only spills to the heap above that: a bitset built on
+// a backtracking node of a small target costs no allocator traffic.
 
 #ifndef BAGDET_UTIL_BITSET_H_
 #define BAGDET_UTIL_BITSET_H_
@@ -57,7 +53,7 @@ class SVOBitset {
   SVOBitset& operator=(const SVOBitset& other) {
     if (this == &other) return *this;
     // Same word footprint (the overwhelmingly common case: reassigning a
-    // domain of the same target) reuses the existing storage.
+    // bitset of the same size) reuses the existing storage.
     if (num_words_ != other.num_words_) {
       FreeWords();
       num_bits_ = other.num_bits_;
@@ -149,7 +145,7 @@ class SVOBitset {
   }
 
   /// this &= other (sizes must match). Returns true iff any bit survives —
-  /// fused so the empty-domain abort needs no second scan.
+  /// fused so an emptiness check needs no second scan.
   bool IntersectWith(const SVOBitset& other) {
     std::uint64_t* w = words();
     const std::uint64_t* o = other.words();
@@ -170,9 +166,9 @@ class SVOBitset {
     return !(a == b);
   }
 
-  /// Spill threshold in words. 4 words (256 bits) covers every interned
-  /// pipeline target (HomCache::max_intern_domain defaults to 256) while
-  /// keeping sizeof(SVOBitset) at 40 bytes.
+  /// Spill threshold in words. 4 words (256 bits) covers the fact ids of
+  /// a relation on a small target while keeping sizeof(SVOBitset) at 40
+  /// bytes.
   static constexpr std::size_t kInlineWords = 4;
 
   /// True when the words live on the heap rather than inline.

@@ -30,8 +30,6 @@
 //   hom/dp_step        once per DP join step (hom.cpp RunDpPlan)
 //   hom/dp_table_grow  FlatTable rehash — kBadAlloc models table OOM
 //   hom/matcher        once per Matcher backtracking node
-//   hom/domain_split   once per parallel-split chunk worker (hom.cpp
-//                      CountComponent) — faults mid fan-out
 //   canonical/branch   once per individualization-refinement branch
 //   pool/intern        before a StructurePool entry is created
 //   homcache/insert    before a HomCache insert mutates the shard

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/exec_context.h"
-#include "util/tuning.h"
 
 namespace bagdet {
 
@@ -127,17 +126,13 @@ void ThreadPool::ParallelFor(std::size_t n,
 }
 
 std::size_t DefaultThreadCount() {
-  // Precedence: BAGDET_NUM_THREADS (the per-run override of last resort),
-  // then a calibrated width from the tuning profile, then the hardware.
+  // Precedence: BAGDET_NUM_THREADS, then the hardware.
   if (const char* env = std::getenv("BAGDET_NUM_THREADS")) {
     char* end = nullptr;
     const long value = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && value > 0) {
       return static_cast<std::size_t>(value);
     }
-  }
-  if (const std::size_t tuned = Tuning().num_threads; tuned != 0) {
-    return tuned;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -114,6 +116,30 @@ TEST(ThreadPoolTest, MaxParallelismOneIsServedByTheCallingThread) {
 }
 
 // --- Sharded StructurePool --------------------------------------------------
+
+TEST(ThreadPoolTest, DefaultThreadCountReadsEnvThenHardware) {
+  const char* saved = std::getenv("BAGDET_NUM_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hardware = hw == 0 ? 1 : hw;
+  ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", "3", 1), 0);
+  EXPECT_EQ(DefaultThreadCount(), 3u);
+  // Anything but a whole positive number falls back to the hardware. The
+  // last input's numeric prefix differs from the hardware count, so a
+  // parser that stops at the prefix cannot pass by coincidence.
+  const std::string prefix_trap = std::to_string(hardware + 1) + "x";
+  for (const std::string& bad :
+       {std::string("0"), std::string("-2"), std::string("abc"),
+        std::string("4x"), std::string(""), prefix_trap}) {
+    ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", bad.c_str(), 1), 0);
+    EXPECT_EQ(DefaultThreadCount(), hardware) << "'" << bad << "'";
+  }
+  ::unsetenv("BAGDET_NUM_THREADS");
+  EXPECT_EQ(DefaultThreadCount(), hardware);
+  if (saved != nullptr) {
+    ::setenv("BAGDET_NUM_THREADS", saved_value.c_str(), 1);
+  }
+}
 
 TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
   auto schema = GraphSchema();

@@ -611,52 +611,75 @@ TEST_F(GovernedTest, InjectedAllocFailureLeavesHomCacheConsistent) {
   EXPECT_GE(cache.stats().hits, 1u);
 }
 
-TEST_F(GovernedTest, InjectedFaultMidDomainSplit) {
+TEST_F(GovernedTest, InjectedFaultMidBatchCount) {
   if (!failpoint::Enabled()) {
     GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
   }
-  // Force the parallel single-count split (threshold 0, 4 lanes) so the
-  // hom/domain_split site fires inside the per-chunk workers; both fault
-  // flavors must unwind cleanly through the ThreadPool fan-in and leave a
-  // disarmed rerun bit-identical.
+  // A cold BatchCountHoms fans its misses out through ThreadPool::
+  // ParallelFor, so the hom/dp_step site fires inside pool workers; both
+  // fault flavors must unwind cleanly through the fan-in, and the cache
+  // must keep no poisoned entry.
   auto schema = GraphSchema();
-  Structure from = SymmetricCycle(schema, 5);
-  Structure to = FullDigraph(schema, 5);
-  DpOptions split;
-  split.num_threads = 4;
-  split.parallel_split_min_work = 0;
-  split.domain_min_work = 0;  // Domains regardless of instance size.
-  const BigInt baseline = CountHoms(from, to);
-  ASSERT_EQ(CountHoms(from, to, split), baseline);
+  std::vector<Structure> sources;
+  for (std::size_t n = 3; n <= 8; ++n) {
+    sources.push_back(SymmetricCycle(schema, n));
+  }
+  const Structure target = FullDigraph(schema, 5);
+  std::vector<BigInt> serial;
+  for (const Structure& source : sources) {
+    serial.push_back(CountHoms(source, target));
+  }
+  auto make_pairs = [&](HomCache& cache) {
+    std::vector<std::pair<StructureRef, StructureRef>> pairs;
+    const StructureRef to = cache.Intern(target);
+    for (const Structure& source : sources) {
+      pairs.emplace_back(cache.Intern(source), to);
+    }
+    return pairs;
+  };
   for (int iter = 0; iter < DiffIters(); ++iter) {
-    // Injected cancel mid-split → governed trip, kCancelled.
+    // Injected cancel mid-batch → governed trip, kCancelled.
+    HomCache cancelled_cache;
+    const auto cancelled_pairs = make_pairs(cancelled_cache);
     failpoint::Config cancel;
     cancel.action = failpoint::Action::kCancel;
-    cancel.hit_on = 2;  // Second chunk: the fan-out is already running.
-    failpoint::Arm("hom/domain_split", cancel);
+    cancel.hit_on = 2;  // Second DP step: the fan-out is already running.
+    failpoint::Arm("hom/dp_step", cancel);
     ExecContext exec{ExecLimits{}};
     ExecStatus status;
-    auto value = RunGoverned(exec, &status,
-                             [&] { return CountHoms(from, to, split); });
+    auto value = RunGoverned(exec, &status, [&] {
+      return cancelled_cache.BatchCountHoms(cancelled_pairs, 4);
+    });
     EXPECT_FALSE(value.has_value());
     EXPECT_EQ(status.code, ExecCode::kCancelled);
-    EXPECT_GE(failpoint::HitCount("hom/domain_split"), 2u);
+    EXPECT_GE(failpoint::HitCount("hom/dp_step"), 2u);
     failpoint::DisarmAll();
-    EXPECT_EQ(CountHoms(from, to, split), baseline);
-    // Injected allocation failure mid-split → kResourceExhausted.
+    EXPECT_EQ(cancelled_cache.BatchCountHoms(cancelled_pairs, 4), serial);
+
+    // Injected allocation failure mid-batch → kResourceExhausted.
+    HomCache oom_cache;
+    const auto oom_pairs = make_pairs(oom_cache);
     failpoint::Config oom;
     oom.action = failpoint::Action::kBadAlloc;
     oom.hit_on = 1;
-    failpoint::Arm("hom/domain_split", oom);
+    failpoint::Arm("hom/dp_step", oom);
     ExecContext exec2{ExecLimits{}};
     ExecStatus status2;
-    auto value2 = RunGoverned(exec2, &status2,
-                              [&] { return CountHoms(from, to, split); });
+    auto value2 = RunGoverned(exec2, &status2, [&] {
+      return oom_cache.BatchCountHoms(oom_pairs, 4);
+    });
     EXPECT_FALSE(value2.has_value());
     EXPECT_EQ(status2.code, ExecCode::kResourceExhausted);
     failpoint::DisarmAll();
-    // Clean unwind: the split rerun still matches the serial engine.
-    EXPECT_EQ(CountHoms(from, to, split), baseline);
+
+    // Clean unwind: the disarmed rerun matches the serial counts, and the
+    // cache then serves every pair from its memo.
+    EXPECT_EQ(oom_cache.BatchCountHoms(oom_pairs, 4), serial);
+    const HomCache::Stats before = oom_cache.stats();
+    EXPECT_EQ(oom_cache.BatchCountHoms(oom_pairs, 4), serial);
+    const HomCache::Stats after = oom_cache.stats();
+    EXPECT_EQ(after.hits - before.hits, oom_pairs.size());
+    EXPECT_EQ(after.misses, before.misses);
   }
 }
 

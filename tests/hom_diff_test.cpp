@@ -27,32 +27,6 @@ void ExpectAllEnginesAgree(const Structure& from, const Structure& to) {
       << "from=" << from.ToString() << " to=" << to.ToString();
 }
 
-// Domain-core sweep: the same pair through the ablation corners of the
-// engine (domains on/off, exact order search on/off) and through the
-// forced parallel split at 1 and 4 lanes, each pinned to the naive count.
-void ExpectDomainCoreAgrees(const Structure& from, const Structure& to) {
-  const BigInt naive = CountHomsNaive(from, to);
-  for (bool domains : {false, true}) {
-    DpOptions options;
-    options.use_domains = domains;
-    options.domain_min_work = 0;  // Engage domains on any instance size.
-    options.order_search_max_atoms = domains ? 12 : 0;
-    options.num_threads = 1;
-    EXPECT_EQ(CountHoms(from, to, options), naive)
-        << "domains=" << domains << " from=" << from.ToString()
-        << " to=" << to.ToString();
-  }
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    DpOptions options;
-    options.num_threads = threads;
-    options.parallel_split_min_work = 0;  // Split whenever legal.
-    options.domain_min_work = 0;
-    EXPECT_EQ(CountHoms(from, to, options), naive)
-        << "threads=" << threads << " from=" << from.ToString()
-        << " to=" << to.ToString();
-  }
-}
-
 TEST(HomDiffTest, MixedAritySchemaWithNullaryRelations) {
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("H", 0);  // Nullary: pure presence constraint.
@@ -104,10 +78,10 @@ TEST(HomDiffTest, ConnectedSourcesIntoLargerTargets) {
   }
 }
 
-TEST(HomDiffTest, DomainCoreOnDenseNearRegularDigraphs) {
-  // Dense digraphs are the regime the domain layer targets: big uniform
-  // buckets defeat single-bucket selection, while near-regular degree
-  // sequences keep the arc-consistency fixpoint non-trivial.
+TEST(HomDiffTest, DenseNearRegularDigraphs) {
+  // Dense digraphs give big uniform buckets, which defeat single-bucket
+  // selection in both engines and drive the Matcher's two-bucket
+  // intersection.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("E", 2);
   Rng rng(0xdeca1);
@@ -116,13 +90,13 @@ TEST(HomDiffTest, DomainCoreOnDenseNearRegularDigraphs) {
     Structure from =
         RandomConnectedStructure(schema, 2 + rng.Below(3), &rng, 3, 4);
     Structure to = RandomStructure(schema, 2 + rng.Below(4), &rng, 3, 4);
-    ExpectDomainCoreAgrees(from, to);
+    ExpectAllEnginesAgree(from, to);
   }
 }
 
-TEST(HomDiffTest, DomainCoreOnHighAritySparseSchemas) {
-  // High-arity sparse relations stress repeated-variable support and the
-  // per-position occupancy seeding (most positions have tiny masks).
+TEST(HomDiffTest, HighAritySparseSchemas) {
+  // High-arity sparse relations stress repeated variables within an atom
+  // and positions whose buckets are mostly empty.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("T", 3);
   schema->AddRelation("Q", 4);
@@ -131,13 +105,13 @@ TEST(HomDiffTest, DomainCoreOnHighAritySparseSchemas) {
   for (int iter = 0; iter < iters; ++iter) {
     Structure from = RandomStructure(schema, 1 + rng.Below(3), &rng, 1, 6);
     Structure to = RandomStructure(schema, 1 + rng.Below(3), &rng, 1, 3);
-    ExpectDomainCoreAgrees(from, to);
+    ExpectAllEnginesAgree(from, to);
   }
 }
 
-TEST(HomDiffTest, DomainCoreOnDisconnectedSourcesWithNullaries) {
-  // Component decomposition × nullary presence constraints × the split
-  // path: the product-of-components fold must stay exact under all knobs.
+TEST(HomDiffTest, DisconnectedSourcesWithNullaries) {
+  // Component decomposition × nullary presence constraints: the
+  // product-of-components fold must stay exact.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("H", 0);
   schema->AddRelation("P", 1);
@@ -149,7 +123,7 @@ TEST(HomDiffTest, DomainCoreOnDisconnectedSourcesWithNullaries) {
     Structure from = RandomStructure(schema, rng.Below(5), &rng, 1, 3);
     Structure to = RandomStructure(schema, rng.Below(4), &rng, 1, 2);
     if (!from.IsConnected()) ++disconnected;
-    ExpectDomainCoreAgrees(from, to);
+    ExpectAllEnginesAgree(from, to);
   }
   EXPECT_GT(disconnected, iters / 4);
 }

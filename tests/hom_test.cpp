@@ -58,6 +58,13 @@ TEST(HomTest, EdgeIntoEdgeAndLoop) {
   EXPECT_EQ(CountHoms(Edge(schema), Loop(schema)), BigInt(1));
   EXPECT_EQ(CountHoms(Loop(schema), Edge(schema)), BigInt(0));
   EXPECT_FALSE(ExistsHom(Loop(schema), Edge(schema)));
+  // A 2-edge path's middle vertex needs an in- and an out-edge; a single
+  // edge has no such vertex.
+  Structure path2(schema);
+  path2.AddFact(0, {0, 1});
+  path2.AddFact(0, {1, 2});
+  EXPECT_EQ(CountHoms(path2, Edge(schema)), BigInt(0));
+  EXPECT_FALSE(ExistsHom(path2, Edge(schema)));
 }
 
 TEST(HomTest, PathsIntoCliqueCountWalks) {
@@ -250,6 +257,42 @@ TEST(HomScaleTest, LongPathIntoLargeCliqueUsesBigCounts) {
   BigInt expected(12);
   for (int i = 0; i < 40; ++i) expected *= BigInt(11);
   EXPECT_EQ(CountHoms(path, Clique(schema, 12)), expected);
+}
+
+TEST(HomTest, ClosedFormsSurviveEveryEngine) {
+  // hom(C4, K_n) = trace(A_{K_n}^4) = (n-1)^4 + (n-1); pin the
+  // variable-elimination counter and the Matcher's enumeration to the
+  // formula.
+  auto schema = GraphSchema();
+  const Structure cycle = Cycle(schema, 4);
+  for (Element n : {Element{2}, Element{5}, Element{9}}) {
+    const Structure clique = Clique(schema, n);
+    const std::int64_t k = static_cast<std::int64_t>(n) - 1;
+    const BigInt expected = BigInt(k * k * k * k + k);
+    EXPECT_EQ(CountHoms(cycle, clique), expected) << n;
+    EXPECT_EQ(CountHomsByEnumeration(cycle, clique), expected) << n;
+  }
+}
+
+TEST(HomTest, MatcherBucketIntersectionOnWideBuckets) {
+  // Clique(20) buckets hold 19 fact ids — past the Matcher's
+  // intersection threshold. The triangle's closing atom E(2, 0) has both
+  // positions bound, so the runner-up-bucket bitset drives its candidate
+  // scan. Every sequence of distinct vertices of a clique is a path (and
+  // closes a cycle), which gives closed forms to pin the scan against.
+  auto schema = GraphSchema();
+  const Structure clique = Clique(schema, 20);
+  Structure path(schema, 4);
+  for (Element i = 0; i < 3; ++i) {
+    path.AddFact(0, {i, static_cast<Element>(i + 1)});
+  }
+  EXPECT_EQ(CountInjectiveHoms(path, clique),
+            BigInt(std::int64_t{20} * 19 * 18 * 17));
+  EXPECT_EQ(CountInjectiveHoms(Cycle(schema, 3), clique),
+            BigInt(std::int64_t{20} * 19 * 18));
+  EXPECT_EQ(CountHomsByEnumeration(Cycle(schema, 3), clique),
+            CountHoms(Cycle(schema, 3), clique));
+  EXPECT_TRUE(ExistsHom(path, clique));
 }
 
 }  // namespace

@@ -49,6 +49,14 @@ TEST(TextTest, ParseErrors) {
   EXPECT_THROW(ParseStructure("E(x,1)", schema), std::invalid_argument);
   // Arity conflict across facts.
   EXPECT_THROW(ParseStructure("E(0,1), E(0)", schema), std::invalid_argument);
+  // Out-of-range numbers: a domain whose size + 1 wraps, an element past
+  // the 32-bit Element range, and a number past 2^64.
+  EXPECT_THROW(ParseStructure("E(0,1), domain 18446744073709551615", schema),
+               std::invalid_argument);
+  EXPECT_THROW(ParseStructure("E(4294967296,1)", schema),
+               std::invalid_argument);
+  EXPECT_THROW(ParseStructure("E(18446744073709551617,1)", schema),
+               std::invalid_argument);
 }
 
 TEST(TextTest, FormatRoundTripWithIsolatedElements) {
