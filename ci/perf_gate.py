@@ -16,8 +16,8 @@ check        Compare current runs against a baseline. Exit 1 on any
 baseline     Write a baseline file from current runs (the refresh path:
              run the perf-gate workflow, download the candidate artifact,
              commit it under ci/perf-baselines/<runner>.json).
-sweep-entry  Convert a pinned benchmark JSON into the per-machine
-             entry format committed in BENCH_concurrency.json.
+sweep-entry  Convert a pinned benchmark JSON into one per-machine entry
+             (format below), uploaded as a CI artifact.
 selftest     Prove the gate can fail: synthesize a baseline and a current
              run 30% slower, assert check() rejects it (and accepts the
              unregressed twin). Runs first in the perf-gate job, so a
@@ -28,6 +28,13 @@ Baseline format::
     {"runner": "ubuntu-latest", "fingerprint": "<uname -m>-<nproc>c",
      "tolerance": 0.25,
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
+
+Sweep-entry format (benchmarks sorted by name, times in milliseconds
+rounded to 3 decimals)::
+
+    {"fingerprint": "<uname -m>-<nproc>c", "runner": "ubuntu-latest",
+     "benchmarks": [{"name": "BM_x/8/2", "real_time_ms": 1.2,
+                     "cpu_time_ms": 1.1}]}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
 end-to-end decide loop, not every microbenchmark, so a refactor adding

@@ -2,7 +2,6 @@
 
 #include "util/exec_context.h"
 #include "util/failpoint.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 
@@ -31,11 +30,8 @@ std::optional<NonDeterminacyWitness> SearchNonDeterminacy(
     BigInt query;
   };
   // Enumerate the summary grid first, then fill the entries (view counts +
-  // fingerprint + query count) through the global ThreadPool: each task
-  // builds its own structure, so the only shared state — the reduction's
-  // queries and schema — is read-only. Entry order matches the enumeration
-  // order exactly, keeping the scan below (and the witness it returns)
-  // deterministic at any thread count.
+  // fingerprint + query count) in enumeration order, so the scan below
+  // (and the witness it returns) is deterministic.
   std::vector<Entry> entries;
   // The frontier grid is (bound+1)^|X| · 4 entries — exponential in the
   // reduction's X-relations — so its materialization is charged against
@@ -56,16 +52,15 @@ std::optional<NonDeterminacyWitness> SearchNonDeterminacy(
     grid_mem.Update(static_cast<std::uint64_t>(entries.capacity()) *
                     (sizeof(Entry) + x_counts.size() * sizeof(std::uint64_t)));
   } while (NextCounts(&x_counts, bound));
-  GlobalThreadPool().ParallelFor(entries.size(), [&](std::size_t i) {
+  for (Entry& entry : entries) {
     ExecCheckPoint("hilbert.search");
     BAGDET_FAILPOINT("hilbert/entry");
-    Entry& entry = entries[i];
     Structure d =
         reduction.MakeStructure(entry.has_h, entry.has_c, entry.x_counts);
     entry.views = reduction.EvaluateViews(d);
     entry.views_fingerprint = CountVectorFingerprint(entry.views);
     entry.query = reduction.query.Count(d);
-  });
+  }
 
   for (std::size_t i = 0; i < entries.size(); ++i) {
     for (std::size_t j = i + 1; j < entries.size(); ++j) {

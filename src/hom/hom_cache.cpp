@@ -6,7 +6,6 @@
 #include "structs/index.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 
@@ -72,14 +71,14 @@ BigInt HomCache::Count(StructureRef from, StructureRef to) {
 }
 
 BigInt HomCache::Count(StructureRef from, const Structure& to) {
-  if (to.DomainSize() > max_intern_domain_) {
+  if (to.DomainSize() > kMaxInternDomain) {
     return CountHoms(pool_->At(from), to);
   }
   return Count(from, pool_->Intern(to));
 }
 
 BigInt HomCache::Count(const Structure& from, const Structure& to) {
-  if (to.DomainSize() > max_intern_domain_) return CountHoms(from, to);
+  if (to.DomainSize() > kMaxInternDomain) return CountHoms(from, to);
   const StructureRef to_ref = pool_->Intern(to);
   BigInt product(1);
   for (StructureRef ref : ComponentRefs(from)) {
@@ -125,31 +124,6 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
   }
   return components_of_.emplace(std::move(whole_key), std::move(refs))
       .first->second;
-}
-
-std::vector<BigInt> HomCache::BatchCountHoms(
-    const std::vector<std::pair<StructureRef, StructureRef>>& pairs,
-    std::size_t num_threads) {
-  std::vector<BigInt> results(pairs.size());
-  // Validate every ref up front (published pool entries arrive with their
-  // positional index pre-warmed, so workers only ever read them).
-  for (const auto& [from, to] : pairs) {
-    pool_->At(from);
-    pool_->At(to);
-  }
-  if (pairs.size() <= 1 || num_threads == 1) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      results[i] = Count(pairs[i].first, pairs[i].second);
-    }
-    return results;
-  }
-  GlobalThreadPool().ParallelFor(
-      pairs.size(),
-      [&](std::size_t i) {
-        results[i] = Count(pairs[i].first, pairs[i].second);
-      },
-      num_threads);
-  return results;
 }
 
 HomCache::Stats HomCache::stats() const {

@@ -22,13 +22,13 @@
 //     functions of the interned classes, so eviction never changes results.
 //   * Hit/miss/eviction/footprint counters are exposed through stats() for
 //     tests and benchmarks; ResetStats() rezeroes the traffic counters.
-//   * Count/BatchCountHoms are safe to call concurrently from
-//     any number of threads (the underlying StructurePool is sharded and
-//     its published representatives immutable). ComponentRefs is also
-//     thread-safe; the returned reference stays valid until the cache is
-//     destroyed (the memo never erases entries).
-//   * BatchCountHoms fans uncached pairs out over the shared global
-//     ThreadPool (util/thread_pool.h) instead of spawning ad-hoc threads.
+//   * Count and ComponentRefs are safe to call concurrently from any
+//     number of threads (the underlying StructurePool is sharded and its
+//     published representatives immutable), which is what the service's
+//     concurrent runners rely on. ComponentRefs' returned reference stays
+//     valid until the cache is destroyed (the memo never erases entries).
+//     The cache itself never starts a thread: each count runs on its
+//     caller's thread.
 
 #ifndef BAGDET_HOM_HOM_CACHE_H_
 #define BAGDET_HOM_HOM_CACHE_H_
@@ -65,14 +65,14 @@ class HomCache {
 
   /// |hom(from, to)| for an interned source class against an arbitrary
   /// target (interned via its cached canonical form; targets beyond
-  /// max_intern_domain() bypass the cache like the two-Structure overload).
+  /// kMaxInternDomain bypass the cache like the two-Structure overload).
   BigInt Count(StructureRef from, const Structure& to);
 
   /// |hom(from, to)| for arbitrary structures: decomposes `from` into
   /// connected components, interns each side, and multiplies memoized
   /// per-component counts (Lemma 4(5)). Targets with more than
-  /// `max_intern_domain()` elements bypass the cache (canonicalizing a
-  /// huge target would cost more than it saves).
+  /// kMaxInternDomain elements bypass the cache (canonicalizing a huge
+  /// target would cost more than it saves).
   BigInt Count(const Structure& from, const Structure& to);
 
   /// Pool refs of the connected components of `s`, in component order —
@@ -83,17 +83,8 @@ class HomCache {
   /// this memo — it holds refs, not counts, and stays tiny).
   const std::vector<StructureRef>& ComponentRefs(const Structure& s);
 
-  /// Counts every pair, memoized, fanning uncached pairs out through the
-  /// global ThreadPool. `num_threads` caps the parallelism (0 = the pool's
-  /// full width; 1 = serial on the calling thread). Results are in input
-  /// order.
-  std::vector<BigInt> BatchCountHoms(
-      const std::vector<std::pair<StructureRef, StructureRef>>& pairs,
-      std::size_t num_threads = 0);
-
-  /// Cache-bypass threshold for Count(Structure, Structure) targets.
-  std::size_t max_intern_domain() const { return max_intern_domain_; }
-  void set_max_intern_domain(std::size_t n) { max_intern_domain_ = n; }
+  /// Cache-bypass threshold for the domain size of Count targets.
+  static constexpr std::size_t kMaxInternDomain = 256;
 
   /// Retention budgets for the memoized counts, enforced per shard with
   /// LRU eviction (each of the kNumShards shards gets an equal slice; the
@@ -156,9 +147,7 @@ class HomCache {
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
   std::shared_ptr<StructurePool> pool_;
-  std::size_t max_intern_domain_ = 256;
-  // Serving-tier retention defaults; set_max_entries/bytes and
-  // ServiceOptions overrides replace them.
+  // Serving-tier retention defaults; set_max_entries/bytes replace them.
   std::size_t max_entries_ = std::size_t{1} << 20;
   std::size_t max_bytes_ = std::size_t{256} << 20;
 

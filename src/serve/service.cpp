@@ -1,12 +1,13 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "util/failpoint.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 
@@ -28,6 +29,22 @@ bool IsTransient(const ExecStatus& status) {
 
 }  // namespace
 
+std::size_t DefaultThreadCount() {
+  // Precedence: BAGDET_NUM_THREADS, then the hardware. Anything but a whole
+  // number in [1, 1024] (an out-of-range one included) counts as unset.
+  if (const char* env = std::getenv("BAGDET_NUM_THREADS")) {
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno != ERANGE && value > 0 &&
+        value <= 1024) {
+      return static_cast<std::size_t>(value);
+    }
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 const char* ServeOutcomeName(ServeOutcome outcome) {
   switch (outcome) {
     case ServeOutcome::kAnswered:
@@ -48,24 +65,25 @@ DeterminacyService::DeterminacyService(ServiceOptions options)
       DefaultThreadCount();
   options_.max_queue = std::max<std::size_t>(1, options_.max_queue);
   cache_ = NewGenerationLocked();
-  runners_.reserve(options_.max_concurrent);
-  for (std::size_t i = 0; i < options_.max_concurrent; ++i) {
-    runners_.emplace_back(&DeterminacyService::RunnerLoop, this);
+  try {
+    runners_.reserve(options_.max_concurrent);
+    for (std::size_t i = 0; i < options_.max_concurrent; ++i) {
+      runners_.emplace_back(&DeterminacyService::RunnerLoop, this);
+    }
+  } catch (...) {
+    // No destructor runs for a half-built object, and destroying a
+    // joinable std::thread terminates the process: stop and join the
+    // runners that did start, then report the failure.
+    Shutdown();
+    throw;
   }
 }
 
 DeterminacyService::~DeterminacyService() { Shutdown(); }
 
 std::shared_ptr<HomCache> DeterminacyService::NewGenerationLocked() const {
-  auto pool = std::make_shared<StructurePool>(options_.pool_first_block);
-  auto cache = std::make_shared<HomCache>(std::move(pool));
-  if (options_.hom_cache_max_entries != 0) {
-    cache->set_max_entries(options_.hom_cache_max_entries);
-  }
-  if (options_.hom_cache_max_bytes != 0) {
-    cache->set_max_bytes(options_.hom_cache_max_bytes);
-  }
-  return cache;
+  return std::make_shared<HomCache>(
+      std::make_shared<StructurePool>(options_.pool_first_block));
 }
 
 void DeterminacyService::MaybeRotateLocked() {
@@ -162,8 +180,6 @@ ServeResponse DeterminacyService::Execute(
     ExecContext exec(request.limits);
     DeterminacyOptions opts = request.options;
     opts.shared_hom_cache = cache;
-    opts.hom_cache_max_entries = 0;
-    opts.hom_cache_max_bytes = 0;
     opts.want_counterexample = want_cx && !tier_degraded;
 
     ExecStatus status;
@@ -216,11 +232,8 @@ ServeResponse DeterminacyService::Execute(
     if (IsTransient(status) && resp.retries < options_.max_retries) {
       ++resp.retries;
       const std::uint32_t shift =
-          std::min<std::uint32_t>(resp.retries - 1, 6);  // Cap at 64x base.
-      const std::uint32_t backoff_ms = options_.backoff_base_ms << shift;
-      if (backoff_ms != 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      }
+          std::min<std::uint32_t>(resp.retries - 1, 6);  // Cap at 64 ms.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1u << shift));
       continue;
     }
 

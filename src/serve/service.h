@@ -16,10 +16,11 @@
 //     always terminate in exactly one typed outcome.
 //   * Execution: each request runs as a governed decision
 //     (DecideBagDeterminacyGoverned) under its own per-request ExecLimits
-//     on a fixed set of service runner threads; the kernels inside each
-//     decision fan out onto the shared global ThreadPool exactly as in the
-//     direct API. A no-limits single request through the service is
-//     bit-identical to a direct DecideBagDeterminacy call.
+//     on one of a fixed set of service runner threads. One thread runs
+//     one decision start to finish; concurrency comes from running many
+//     requests at once, never from fanning out inside one. A no-limits
+//     single request through the service is bit-identical to a direct
+//     DecideBagDeterminacy call.
 //   * Retry: transiently-declined work — a native or failpoint-injected
 //     std::bad_alloc ("alloc" / "serve/dispatch" kernels) — retries with
 //     bounded exponential backoff. Deterministic declines (a memory budget
@@ -92,8 +93,8 @@ const char* ServeOutcomeName(ServeOutcome outcome);
 /// One decision request. `limits` governs each execution attempt
 /// independently (a retry or degraded tier starts a fresh ExecContext).
 /// `options.want_counterexample` and `options.distinguisher` pass through;
-/// the cache-related fields are overridden by the service (the fleet-wide
-/// cache and its budgets belong to the service, not to one request).
+/// `options.shared_hom_cache` is overridden by the service (the fleet-wide
+/// cache belongs to the service, not to one request).
 struct ServeRequest {
   std::vector<ConjunctiveQuery> views;
   ConjunctiveQuery query;
@@ -119,22 +120,22 @@ struct ServeResponse {
   std::uint64_t generation = 0; ///< Pool/cache generation that served this.
 };
 
+/// Runner-thread count for a service whose `max_concurrent` is 0:
+/// BAGDET_NUM_THREADS when it is a whole number in [1, 1024], else
+/// std::thread::hardware_concurrency() (minimum 1).
+std::size_t DefaultThreadCount();
+
 struct ServiceOptions {
-  /// Concurrent request executions (runner threads). 0 = one per lane of
-  /// the default thread count (DefaultThreadCount()).
+  /// Concurrent request executions (runner threads). 0 = DefaultThreadCount().
   std::size_t max_concurrent = 0;
   /// Bound on *waiting* requests (beyond the ones executing). Submissions
   /// past it shed. Clamped to >= 1.
   std::size_t max_queue = 256;
-  /// Bounded retry budget per request for transient faults.
+  /// Bounded retry budget per request for transient faults. Retry r
+  /// waits 1 ms << (r - 1) first, capped at 64 ms.
   std::uint32_t max_retries = 2;
-  /// Backoff before retry r is `backoff_base_ms << (r - 1)`, capped at 64x.
-  std::uint32_t backoff_base_ms = 1;
   /// Permit the decide-without-counterexample degradation tier.
   bool allow_degraded = true;
-  /// Fleet-wide HomCache budgets (0 keeps the library defaults).
-  std::size_t hom_cache_max_entries = 0;
-  std::size_t hom_cache_max_bytes = 0;
   /// Generation rotation thresholds for the persistent pool: retire the
   /// generation once it retains more classes / projected bytes than this.
   std::size_t pool_max_classes = std::size_t{1} << 16;
@@ -167,6 +168,8 @@ struct ServiceStats {
 
 class DeterminacyService {
  public:
+  /// Starts the runner threads. If one fails to start, the ones already
+  /// running are stopped and joined before the error propagates.
   explicit DeterminacyService(ServiceOptions options = ServiceOptions());
   ~DeterminacyService();  ///< Drains: equivalent to Shutdown().
 
@@ -205,7 +208,7 @@ class DeterminacyService {
   ServeResponse Execute(const ServeRequest& request,
                         const std::shared_ptr<HomCache>& cache,
                         std::uint64_t generation);
-  /// Fresh pool + cache honoring the service budgets.
+  /// Fresh pool + cache for a new generation.
   std::shared_ptr<HomCache> NewGenerationLocked() const;
   void MaybeRotateLocked();
   double RetryAfterMsLocked() const;

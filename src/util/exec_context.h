@@ -11,10 +11,10 @@
 //   GovernedDecision d = DecideBagDeterminacyGoverned(views, q, {}, exec);
 //   if (!d.status.ok()) { /* d.status.code says kDeadlineExceeded/... */ }
 //
-// Mechanics. The current context is carried in a thread-local slot
-// (installed by ExecScope, propagated into ThreadPool::ParallelFor
-// workers), and kernels call the free function ExecCheckPoint("kernel") at
-// loop boundaries. The ungoverned fast path is a TLS load plus a null
+// Mechanics. The current context is carried in a thread-local slot,
+// installed by ExecScope on the thread that runs the decision (no kernel
+// fans out to other threads). Kernels call the free function
+// ExecCheckPoint("kernel") at loop boundaries. The ungoverned fast path is a TLS load plus a null
 // check; the governed fast path additionally decrements a countdown, and
 // only when it hits zero reads the clock. The countdown stride adapts so
 // the clock is consulted roughly once per millisecond regardless of how
@@ -24,11 +24,10 @@
 // and a charge that pushes the total past the budget trips the context.
 //
 // A tripped context throws ExecInterrupted from the checkpoint. The
-// exception unwinds through the kernels exactly like the first-exception
-// propagation ParallelFor already implements, and is converted back into a
-// typed ExecStatus at the governed API boundary (RunGoverned). When no
-// limit trips, governed runs are bit-identical to ungoverned ones: the
-// checkpoints have no side effects.
+// exception unwinds through the kernels like any other and is converted
+// back into a typed ExecStatus at the governed API boundary
+// (RunGoverned). When no limit trips, governed runs are bit-identical to
+// ungoverned ones: the checkpoints have no side effects.
 
 #ifndef BAGDET_UTIL_EXEC_CONTEXT_H_
 #define BAGDET_UTIL_EXEC_CONTEXT_H_
@@ -225,8 +224,6 @@ inline void ExecCheckPoint(const char* kernel) {
 
 /// RAII: installs `ctx` as the current thread's context (nullptr is valid
 /// and means "ungoverned"), restoring the previous state on destruction.
-/// ThreadPool::ParallelFor installs the caller's context in every worker
-/// lane automatically.
 class ExecScope {
  public:
   explicit ExecScope(ExecContext* ctx) : saved_(exec_internal::g_exec_tls) {

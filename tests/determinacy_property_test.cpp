@@ -9,7 +9,7 @@
 #include "query/cq.h"
 #include "structs/generator.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "hom/hom_cache.h"
 
 namespace bagdet {
 namespace {
@@ -111,28 +111,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminacyPropertyTest,
 
 // End-to-end invariance: for seeded random instances, the full verdict —
 // determined bit, witness exponents, counterexample coordinates — must be
-// bit-identical under every thread-pool width and under hom-cache
-// eviction pressure. This is the property the whole concurrent serving
-// core promises (order-preserving fan-outs, counts as pure functions of
-// interned classes); a cache- or parallelism-dependent verdict is a
+// bit-identical with and without hom-cache eviction pressure. Counts are
+// pure functions of the interned classes; a cache-dependent verdict is a
 // soundness bug, not a flake.
-TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
-  // Unconditional restore: an ASSERT mid-loop must not leave the
-  // process-wide pool pinned at this test's width for the rest of the
-  // binary.
-  struct PoolRestorer {
-    ~PoolRestorer() { SetGlobalThreadPoolSize(0); }
-  } restore_pool;
-
+TEST(DeterminacyInvarianceTest, VerdictInvariantUnderCacheBudgets) {
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("E", 2);
   Rng rng(77001);
-
-  struct Config {
-    std::size_t threads;
-    std::size_t cache_entries;  // 0 = unbounded library default.
-  };
-  const Config configs[] = {{1, 0}, {4, 0}, {1, 16}, {4, 16}};
 
   for (int iter = 0; iter < 5; ++iter) {
     ConjunctiveQuery q =
@@ -144,39 +129,31 @@ TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
           "v" + std::to_string(i), RandomQueryBody(schema, &rng)));
     }
 
-    std::vector<DeterminacyResult> results;
-    for (const Config& config : configs) {
-      SetGlobalThreadPoolSize(config.threads);
-      DeterminacyOptions options;
-      options.hom_cache_max_entries = config.cache_entries;
-      results.push_back(DecideBagDeterminacy(views, q, options));
-    }
+    const DeterminacyResult base = DecideBagDeterminacy(views, q);
+    DeterminacyOptions squeezed;
+    squeezed.shared_hom_cache = std::make_shared<HomCache>();
+    squeezed.shared_hom_cache->set_max_entries(16);  // 2 per shard.
+    const DeterminacyResult other = DecideBagDeterminacy(views, q, squeezed);
 
-    const DeterminacyResult& base = results[0];
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      const DeterminacyResult& other = results[i];
-      ASSERT_EQ(base.determined, other.determined)
-          << "iter " << iter << " config " << i << " q=" << q.ToString();
-      ASSERT_EQ(base.witness.has_value(), other.witness.has_value());
-      if (base.witness.has_value()) {
-        EXPECT_EQ(base.witness->view_indices, other.witness->view_indices)
-            << "iter " << iter << " config " << i;
-        EXPECT_EQ(base.witness->exponents, other.witness->exponents)
-            << "iter " << iter << " config " << i;
-      }
-      ASSERT_EQ(base.counterexample.has_value(),
-                other.counterexample.has_value());
-      if (base.counterexample.has_value()) {
-        const BagCounterexample& a = *base.counterexample;
-        const BagCounterexample& b = *other.counterexample;
-        EXPECT_EQ(a.coeffs_d, b.coeffs_d) << "iter " << iter << " cfg " << i;
-        EXPECT_EQ(a.coeffs_d_prime, b.coeffs_d_prime)
-            << "iter " << iter << " cfg " << i;
-        EXPECT_EQ(a.evaluation_matrix, b.evaluation_matrix)
-            << "iter " << iter << " cfg " << i;
-        EXPECT_EQ(a.z, b.z) << "iter " << iter << " cfg " << i;
-        EXPECT_EQ(a.t, b.t) << "iter " << iter << " cfg " << i;
-      }
+    ASSERT_EQ(base.determined, other.determined)
+        << "iter " << iter << " q=" << q.ToString();
+    ASSERT_EQ(base.witness.has_value(), other.witness.has_value());
+    if (base.witness.has_value()) {
+      EXPECT_EQ(base.witness->view_indices, other.witness->view_indices)
+          << "iter " << iter;
+      EXPECT_EQ(base.witness->exponents, other.witness->exponents)
+          << "iter " << iter;
+    }
+    ASSERT_EQ(base.counterexample.has_value(),
+              other.counterexample.has_value());
+    if (base.counterexample.has_value()) {
+      const BagCounterexample& a = *base.counterexample;
+      const BagCounterexample& b = *other.counterexample;
+      EXPECT_EQ(a.coeffs_d, b.coeffs_d) << "iter " << iter;
+      EXPECT_EQ(a.coeffs_d_prime, b.coeffs_d_prime) << "iter " << iter;
+      EXPECT_EQ(a.evaluation_matrix, b.evaluation_matrix) << "iter " << iter;
+      EXPECT_EQ(a.z, b.z) << "iter " << iter;
+      EXPECT_EQ(a.t, b.t) << "iter " << iter;
     }
   }
 }

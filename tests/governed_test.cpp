@@ -611,14 +611,14 @@ TEST_F(GovernedTest, InjectedAllocFailureLeavesHomCacheConsistent) {
   EXPECT_GE(cache.stats().hits, 1u);
 }
 
-TEST_F(GovernedTest, InjectedFaultMidBatchCount) {
+TEST_F(GovernedTest, InjectedFaultMidCountLoop) {
   if (!failpoint::Enabled()) {
     GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
   }
-  // A cold BatchCountHoms fans its misses out through ThreadPool::
-  // ParallelFor, so the hom/dp_step site fires inside pool workers; both
-  // fault flavors must unwind cleanly through the fan-in, and the cache
-  // must keep no poisoned entry.
+  // A cold loop of HomCache::Count calls, the shape of BuildGoodBasis'
+  // radix scan: the hom/dp_step site fires inside a memoized count, both
+  // fault flavors must unwind cleanly out of the loop, and the cache must
+  // keep no poisoned entry.
   auto schema = GraphSchema();
   std::vector<Structure> sources;
   for (std::size_t n = 3; n <= 8; ++n) {
@@ -637,26 +637,33 @@ TEST_F(GovernedTest, InjectedFaultMidBatchCount) {
     }
     return pairs;
   };
+  auto count_all = [](HomCache& cache, const auto& pairs) {
+    std::vector<BigInt> counts;
+    for (const auto& [from, to] : pairs) {
+      counts.push_back(cache.Count(from, to));
+    }
+    return counts;
+  };
   for (int iter = 0; iter < DiffIters(); ++iter) {
-    // Injected cancel mid-batch → governed trip, kCancelled.
+    // Injected cancel mid-loop → governed trip, kCancelled.
     HomCache cancelled_cache;
     const auto cancelled_pairs = make_pairs(cancelled_cache);
     failpoint::Config cancel;
     cancel.action = failpoint::Action::kCancel;
-    cancel.hit_on = 2;  // Second DP step: the fan-out is already running.
+    cancel.hit_on = 2;  // Second DP step: the loop is already running.
     failpoint::Arm("hom/dp_step", cancel);
     ExecContext exec{ExecLimits{}};
     ExecStatus status;
     auto value = RunGoverned(exec, &status, [&] {
-      return cancelled_cache.BatchCountHoms(cancelled_pairs, 4);
+      return count_all(cancelled_cache, cancelled_pairs);
     });
     EXPECT_FALSE(value.has_value());
     EXPECT_EQ(status.code, ExecCode::kCancelled);
     EXPECT_GE(failpoint::HitCount("hom/dp_step"), 2u);
     failpoint::DisarmAll();
-    EXPECT_EQ(cancelled_cache.BatchCountHoms(cancelled_pairs, 4), serial);
+    EXPECT_EQ(count_all(cancelled_cache, cancelled_pairs), serial);
 
-    // Injected allocation failure mid-batch → kResourceExhausted.
+    // Injected allocation failure mid-loop → kResourceExhausted.
     HomCache oom_cache;
     const auto oom_pairs = make_pairs(oom_cache);
     failpoint::Config oom;
@@ -666,7 +673,7 @@ TEST_F(GovernedTest, InjectedFaultMidBatchCount) {
     ExecContext exec2{ExecLimits{}};
     ExecStatus status2;
     auto value2 = RunGoverned(exec2, &status2, [&] {
-      return oom_cache.BatchCountHoms(oom_pairs, 4);
+      return count_all(oom_cache, oom_pairs);
     });
     EXPECT_FALSE(value2.has_value());
     EXPECT_EQ(status2.code, ExecCode::kResourceExhausted);
@@ -674,9 +681,9 @@ TEST_F(GovernedTest, InjectedFaultMidBatchCount) {
 
     // Clean unwind: the disarmed rerun matches the serial counts, and the
     // cache then serves every pair from its memo.
-    EXPECT_EQ(oom_cache.BatchCountHoms(oom_pairs, 4), serial);
+    EXPECT_EQ(count_all(oom_cache, oom_pairs), serial);
     const HomCache::Stats before = oom_cache.stats();
-    EXPECT_EQ(oom_cache.BatchCountHoms(oom_pairs, 4), serial);
+    EXPECT_EQ(count_all(oom_cache, oom_pairs), serial);
     const HomCache::Stats after = oom_cache.stats();
     EXPECT_EQ(after.hits - before.hits, oom_pairs.size());
     EXPECT_EQ(after.misses, before.misses);

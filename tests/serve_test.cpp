@@ -530,6 +530,45 @@ TEST_F(ServeTest, CounterexampleTierFaultDegradesToVerdictOnly) {
   EXPECT_FALSE(resp.result->counterexample.has_value());
 }
 
+// --- Runner-thread count ----------------------------------------------------
+
+TEST_F(ServeTest, DefaultThreadCountReadsEnvThenHardware) {
+  const char* saved = std::getenv("BAGDET_NUM_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hardware = hw == 0 ? 1 : hw;
+  ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", "3", 1), 0);
+  EXPECT_EQ(DefaultThreadCount(), 3u);
+  ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", "1024", 1), 0);
+  EXPECT_EQ(DefaultThreadCount(), 1024u);
+  // Anything but a whole number in [1, 1024] falls back to the hardware:
+  // a value too large to start that many runners, and one past the range
+  // of long, included. The prefix trap's numeric prefix differs from the
+  // hardware count, so a parser that stops at the prefix cannot pass by
+  // coincidence.
+  const std::string prefix_trap = std::to_string(hardware + 1) + "x";
+  for (const std::string& bad :
+       {std::string("0"), std::string("-2"), std::string("abc"),
+        std::string("4x"), std::string(""), prefix_trap,
+        std::string("1025"), std::string("1000000"),
+        std::string("99999999999999999999")}) {
+    ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", bad.c_str(), 1), 0);
+    EXPECT_EQ(DefaultThreadCount(), hardware) << "'" << bad << "'";
+  }
+  {
+    // The oversized value still yields a working default service.
+    ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", "1000000", 1), 0);
+    DeterminacyService service;
+    EXPECT_EQ(service.Call(MakeDeterminedRequest(3)).outcome,
+              ServeOutcome::kAnswered);
+  }
+  ::unsetenv("BAGDET_NUM_THREADS");
+  EXPECT_EQ(DefaultThreadCount(), hardware);
+  if (saved != nullptr) {
+    ::setenv("BAGDET_NUM_THREADS", saved_value.c_str(), 1);
+  }
+}
+
 // --- StructurePool persistent-growth contract -------------------------------
 
 TEST_F(ServeTest, PoolGrowsAcrossBlocksWithoutInvalidatingRefs) {
