@@ -102,8 +102,9 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
   // Definition 27: W = components of Σ_{v ∈ V ∪ {q}} v up to isomorphism.
   // Canonical-form interning replaces the seed path's pairwise IsIsomorphic
   // scan: a component is known iff its pool ref already has a basis index.
-  // ComponentRefs memoizes the decomposition per frozen body, reusing the
-  // certificates cached on the body itself.
+  // ComponentRefs canonicalizes each body here, on the thread that owns the
+  // analysis, and memoizes its decomposition; views that failed the
+  // containment test above never pay for a canonical form.
   StructurePool& pool = *analysis.pool;
   HomCache& cache = *analysis.hom_cache;
   std::vector<std::size_t> index_of_ref;  // ref → basis index (dense refs).
@@ -138,6 +139,10 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
   for (std::size_t i : analysis.relevant_views) {
     analysis.view_vectors.push_back(vectorize(analysis.views[i].FrozenBody()));
   }
+  // The analysis is frozen from here on (see determinacy.h): containment
+  // decomposed every view body, and interning canonicalized q and the
+  // relevant views. Views that failed containment keep a cold canonical
+  // form, which VerifyCounterexample fills only on private copies.
   return analysis;
 }
 
@@ -208,8 +213,11 @@ bool CheckWitnessOnStructure(const InstanceAnalysis& analysis,
   // sharing components, then cost one count per isomorphism class).
   HomCache* cache = analysis.hom_cache.get();
   auto count_on_data = [&](const ConjunctiveQuery& cq) {
-    return cache != nullptr ? cache->Count(cq.FrozenBody(), data)
-                            : cq.CountHomomorphisms(data);
+    if (cache == nullptr) return cq.CountHomomorphisms(data);
+    // Interning reads the canonical form, which is cold for a view that
+    // failed containment: count a private copy (see VerifyCounterexample).
+    const Structure body = cq.FrozenBody();
+    return cache->Count(body, data);
   };
   BigInt q_count = count_on_data(analysis.query);
   std::vector<BigInt> view_counts;
@@ -292,10 +300,13 @@ std::optional<std::string> VerifyCounterexample(
   HomCache* cache = analysis.hom_cache.get();
   for (std::size_t i = 0; i < analysis.views.size(); ++i) {
     const ConjunctiveQuery& view = analysis.views[i];
-    BigInt on_d =
-        CountHomsSymbolicAny(view.FrozenBody(), counterexample.d, cache);
+    // A view that failed containment was never canonicalized, and the
+    // analysis may be shared across threads: count a private copy, which
+    // shares the warm caches and fills a cold canonical form for itself.
+    const Structure body = view.FrozenBody();
+    BigInt on_d = CountHomsSymbolicAny(body, counterexample.d, cache);
     BigInt on_d_prime =
-        CountHomsSymbolicAny(view.FrozenBody(), counterexample.d_prime, cache);
+        CountHomsSymbolicAny(body, counterexample.d_prime, cache);
     if (on_d != on_d_prime) {
       return "view '" + view.name() + "' (index " + std::to_string(i) +
              ") differs: " + on_d.ToString() + " vs " + on_d_prime.ToString();

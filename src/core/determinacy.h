@@ -53,8 +53,9 @@ struct InstanceAnalysis {
   Vec query_vector;
 
   /// Canonical-form interning pool shared by the whole pipeline: every
-  /// component of every frozen body is interned here, and `basis_queries[i]`
-  /// is the representative of class `basis_refs[i]`.
+  /// component of q and of the relevant views is interned here (views that
+  /// fail containment are not), and `basis_queries[i]` is the
+  /// representative of class `basis_refs[i]`.
   std::shared_ptr<StructurePool> pool;
 
   /// Memoized hom counter over `pool`, shared by BuildGoodBasis,
@@ -80,6 +81,13 @@ struct InstanceAnalysis {
 /// regardless of what else the shared pool already holds — only the
 /// numeric StructureRef values differ. Null keeps the per-call behavior:
 /// a fresh pool + cache per analysis.
+///
+/// Only q and the relevant views are canonicalized; a view that fails
+/// containment never is. The returned analysis is frozen: every lazy
+/// Structure cache that CheckWitnessOnStructure and VerifyCounterexample
+/// read is already warm, and where one is not (the canonical form of an
+/// irrelevant view) they compute on a private copy instead of writing
+/// back, so several threads may run them on one shared analysis.
 InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
                                  ConjunctiveQuery query,
                                  std::shared_ptr<HomCache> shared_cache =
@@ -207,7 +215,8 @@ BigInt AnswerFromViewCounts(const DeterminacyWitness& witness,
 
 /// Exhaustively verifies a counterexample: every view of V0 agrees on
 /// (D, D′) and q differs — all counts evaluated exactly (symbolically).
-/// Returns a diagnostic message on failure, std::nullopt on success.
+/// Returns a diagnostic message on failure, std::nullopt on success. Safe
+/// to run concurrently on one shared analysis (see AnalyzeInstance).
 std::optional<std::string> VerifyCounterexample(
     const InstanceAnalysis& analysis, const BagCounterexample& counterexample);
 

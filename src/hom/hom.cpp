@@ -488,7 +488,7 @@ BigInt CountComponent(const Structure& component, const Structure& to) {
 
 BigInt CountHoms(const Structure& from, const Structure& to) {
   BigInt product(1);
-  for (const Structure& component : ConnectedComponents(from)) {
+  for (const Structure& component : from.Components()) {
     BigInt c = CountComponent(component, to);
     if (c.IsZero()) return BigInt(0);
     product *= c;
@@ -497,7 +497,7 @@ BigInt CountHoms(const Structure& from, const Structure& to) {
 }
 
 bool ExistsHom(const Structure& from, const Structure& to) {
-  for (const Structure& component : ConnectedComponents(from)) {
+  for (const Structure& component : from.Components()) {
     if (component.DomainSize() == 0) {
       bool present = true;
       for (RelationId r = 0; r < component.schema().NumRelations(); ++r) {

@@ -97,28 +97,23 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
   if (it != components_of_.end()) return it->second;
   std::vector<StructureRef> refs;
   refs.reserve(data.component_certificates.size());
-  // Reuse the certificates computed for `s`: only components whose class
-  // is genuinely new to the pool force a decomposition (for the
-  // representative copy) — never a second labeling search.
-  std::vector<Structure> components;
-  bool decomposed = false;
+  // Reuse the certificates computed for `s`: a component whose class is
+  // new to the pool is copied out of `s`'s cached decomposition as the
+  // representative — never a second labeling search.
   for (std::size_t i = 0; i < data.component_certificates.size(); ++i) {
     CanonicalKey key = ComponentKeyFromCertificate(
         s.schema(), data.component_certificates[i]);
     StructureRef ref = pool_->FindKey(key);
     if (ref == kInvalidStructureRef) {
-      if (!decomposed) {
-        components = ConnectedComponents(s);
-        decomposed = true;
-      }
+      Structure representative = s.Components()[i];
       // Seed the representative's canonical cache so later interns of the
       // pool's own structures (FindDistinguisher, symbolic leaves) are
       // pure hash probes. A single component's whole-structure certificate
       // is exactly the component key's byte form.
-      components[i].CacheCanonicalData(
+      representative.CacheCanonicalData(
           std::make_shared<const StructureCanonicalData>(StructureCanonicalData{
               key.bytes, {data.component_certificates[i]}}));
-      ref = pool_->InternWithKey(key, std::move(components[i]));
+      ref = pool_->InternWithKey(key, std::move(representative));
     }
     refs.push_back(ref);
   }

@@ -83,7 +83,7 @@ BigInt CountHomsSymbolicAny(const Structure& from, const StructureExpr& expr,
     }
     return product;
   }
-  for (const Structure& component : ConnectedComponents(from)) {
+  for (const Structure& component : from.Components()) {
     product *= CountHomsSymbolic(component, expr);
     if (product.IsZero()) return product;
   }

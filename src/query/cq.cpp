@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "hom/hom.h"
-#include "structs/canonical.h"
 
 namespace bagdet {
 
@@ -36,11 +35,6 @@ ConjunctiveQuery::ConjunctiveQuery(std::string name,
     }
     frozen_.AddFact(atom.relation, std::move(tuple));
   }
-  // Boolean queries are the determinacy pipeline's currency; canonicalize
-  // the frozen body once at admission so every later copy (queries are
-  // passed by value through the pipeline) shares the cached form and the
-  // hot path stays free of labeling searches.
-  if (IsBoolean()) frozen_.CanonicalData();
 }
 
 AnswerBag ConjunctiveQuery::Evaluate(const Structure& data) const {

@@ -189,7 +189,7 @@ CanonicalKey ComponentKeyFromCertificate(const Schema& schema,
 
 StructureCanonicalData ComputeCanonicalData(const Structure& s) {
   StructureCanonicalData data;
-  for (const Structure& component : ConnectedComponents(s)) {
+  for (const Structure& component : s.Components()) {
     data.component_certificates.push_back(ComponentCertificate(component));
   }
   std::vector<std::string> sorted = data.component_certificates;

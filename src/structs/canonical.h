@@ -19,11 +19,14 @@
 // structures are isomorphic iff their schemas agree and their components
 // match up to isomorphism with equal multiplicities.
 //
-// Canonicalization costs as much as a small hom count, so the result is
-// cached on the Structure (Structure::CanonicalData, invalidated on
-// mutation, shared across copies like the positional index). Always go
-// through that accessor — long-lived pipeline objects (frozen query
-// bodies, interned basis queries) then pay the search once.
+// Canonicalization costs as much as a small hom count, so it runs only
+// on demand and the result is cached on the Structure
+// (Structure::CanonicalData, invalidated on mutation, shared across copies
+// like the positional index). Always go through that accessor. Nothing is
+// canonicalized at construction: a frozen query body pays the search the
+// first time it is interned, which AnalyzeInstance does only for q and
+// the views that pass containment (Def. 25); views that fail it never
+// need a canonical form.
 //
 // Worst-case exponential in the component size (as is any known canonical
 // labeling, and as IsIsomorphic already is); intended for the query-sized
@@ -81,7 +84,7 @@ struct CanonicalKeyHash {
 
 /// Everything one canonicalization pass produces: the schema-agnostic
 /// whole-structure certificate plus the certificate of each connected
-/// component, index-aligned with ConnectedComponents(s). Interning layers
+/// component, index-aligned with s.Components(). Interning layers
 /// reuse the per-component certificates so decomposing a structure never
 /// re-runs the search. Deliberately schema-digest-free — see CanonicalKey.
 struct StructureCanonicalData {
@@ -100,7 +103,7 @@ CanonicalKey CanonicalKeyOf(const Structure& s);
 
 /// Canonical certificate of a single *connected* component (exposed for
 /// tests and for interning layers; ComputeCanonicalData composes these).
-/// Preconditions match ConnectedComponents output: a nullary-fact
+/// Preconditions match Structure::Components() output: a nullary-fact
 /// component has empty domain.
 std::string ComponentCertificate(const Structure& component);
 

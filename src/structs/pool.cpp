@@ -81,8 +81,10 @@ StructureRef StructurePool::InternWithKey(const CanonicalKey& key,
   // Freeze the representative before publication: once readers can reach
   // the entry lock-free, its lazy caches must never be (re)built. The
   // canonical form is already cached (key computation or the caller's
-  // certificate reuse); the positional index is warmed here.
+  // certificate reuse); the positional index and the components are
+  // warmed here.
   entry->structure.Index();
+  entry->structure.Components();
 
   // Directory growth publishes a fresh block and never touches previous
   // blocks, so concurrent lock-free readers of already-published refs are

@@ -16,9 +16,11 @@
 //     never moved or mutated afterwards. A ref handed to any thread can be
 //     dereferenced by any thread with a plain acquire load.
 //   * Published representatives are immutable *including their lazy
-//     caches*: Intern warms Structure::Index() before publication and the
-//     canonical form is already cached by key computation, so concurrent
-//     readers never race on the Structure's internal shared_ptr caches.
+//     caches*: Intern warms Structure::Index() and Structure::Components()
+//     before publication and the canonical form is already cached by key
+//     computation, so concurrent readers never race on the Structure's
+//     internal shared_ptr caches. Warming Components() costs a connected
+//     representative nothing: it is its own single component.
 //
 // Refs are "dense modulo sharding": the ref of the i-th class of shard s
 // is i * kNumShards + s, so a pool with C classes only uses refs below

@@ -1,7 +1,6 @@
 #include "structs/structure.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -36,8 +35,7 @@ void Structure::AddFact(RelationId relation, Tuple elements) {
   auto it = std::lower_bound(rows.begin(), rows.end(), elements);
   if (it == rows.end() || *it != elements) {
     rows.insert(it, std::move(elements));
-    index_.reset();
-    canonical_.reset();
+    ResetCaches();
   }
 }
 
@@ -87,29 +85,86 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
+/// Components() marker of a connected structure: it is its own single
+/// component. Non-owning (aliasing constructor over an empty owner), so
+/// copying a connected structure never touches a shared reference count.
+const std::shared_ptr<const std::vector<Structure>>& ConnectedMarker() {
+  static const std::vector<Structure> kNone;
+  static const std::shared_ptr<const std::vector<Structure>> kMarker(
+      std::shared_ptr<const std::vector<Structure>>(), &kNone);
+  return kMarker;
+}
+
 }  // namespace
 
-bool Structure::IsConnected() const {
+std::shared_ptr<const Structure::ComponentList> Structure::Decompose(
+    const Structure& s) {
+  const std::size_t n = s.domain_size_;
+  UnionFind uf(n);
   std::size_t nullary_facts = 0;
-  for (RelationId r = 0; r < schema_->NumRelations(); ++r) {
-    if (schema_->Arity(r) == 0 && r < facts_.size()) {
-      nullary_facts += facts_[r].size();
-    }
-  }
-  if (domain_size_ == 0) return nullary_facts == 1;
-  if (nullary_facts > 0) return false;  // Nullary facts are separate pieces.
-  UnionFind uf(domain_size_);
-  for (const auto& rows : facts_) {
+  for (const auto& rows : s.facts_) {
     for (const Tuple& t : rows) {
+      if (t.empty()) ++nullary_facts;
       for (std::size_t i = 1; i < t.size(); ++i) uf.Union(t[0], t[i]);
     }
   }
-  std::size_t root = uf.Find(0);
-  for (std::size_t e = 1; e < domain_size_; ++e) {
-    if (uf.Find(e) != root) return false;
+  // Components are numbered by increasing root id; within one, elements
+  // keep their relative order.
+  constexpr std::size_t kNoComponent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> component_of_root(n, kNoComponent);
+  std::size_t num_groups = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (uf.Find(e) == e) component_of_root[e] = num_groups++;
   }
-  return true;
+  if (num_groups + nullary_facts == 1) return ConnectedMarker();
+
+  std::vector<std::size_t> component_of(n);
+  std::vector<Element> rename(n);
+  std::vector<std::size_t> sizes(num_groups, 0);
+  for (std::size_t e = 0; e < n; ++e) {
+    component_of[e] = component_of_root[uf.Find(e)];
+    rename[e] = static_cast<Element>(sizes[component_of[e]]++);
+  }
+  auto components = std::make_shared<ComponentList>();
+  components->reserve(num_groups + nullary_facts);
+  for (std::size_t size : sizes) components->emplace_back(s.schema_, size);
+  // Renaming is order-preserving within a component, so each relation's
+  // renamed tuples arrive sorted and unique: size every fact list exactly
+  // and append, instead of AddFact's search-and-insert.
+  for (RelationId r = 0; r < s.facts_.size(); ++r) {
+    if (s.schema_->Arity(r) == 0) continue;
+    std::vector<std::size_t> counts(num_groups, 0);
+    for (const Tuple& t : s.facts_[r]) ++counts[component_of[t[0]]];
+    for (std::size_t c = 0; c < num_groups; ++c) {
+      (*components)[c].facts_[r].reserve(counts[c]);
+    }
+    for (const Tuple& t : s.facts_[r]) {
+      Tuple renamed(t.size());
+      for (std::size_t i = 0; i < t.size(); ++i) renamed[i] = rename[t[i]];
+      (*components)[component_of[t[0]]].facts_[r].push_back(
+          std::move(renamed));
+    }
+  }
+  // Each nullary fact is its own empty-domain component, after the others.
+  for (RelationId r = 0; r < s.facts_.size(); ++r) {
+    if (s.schema_->Arity(r) != 0 || s.facts_[r].empty()) continue;
+    Structure c(s.schema_, 0);
+    c.facts_[r].emplace_back();
+    components->push_back(std::move(c));
+  }
+  // Every piece is connected, so its own decomposition is known already;
+  // readers of a shared decomposition never fill a cache.
+  for (Structure& c : *components) c.components_ = ConnectedMarker();
+  return components;
 }
+
+ComponentRange Structure::Components() const {
+  if (components_ == nullptr) components_ = Decompose(*this);
+  if (components_ == ConnectedMarker()) return ComponentRange(this, 1);
+  return ComponentRange(components_->data(), components_->size());
+}
+
+bool Structure::IsConnected() const { return Components().size() == 1; }
 
 Structure Structure::MapDomain(const std::vector<Element>& mapping,
                                std::size_t new_domain_size) const {
@@ -239,47 +294,8 @@ Structure IteratedProduct(const Structure& a, std::uint64_t t) {
 }
 
 std::vector<Structure> ConnectedComponents(const Structure& s) {
-  const std::size_t n = s.DomainSize();
-  UnionFind uf(n);
-  for (RelationId r = 0; r < s.schema().NumRelations(); ++r) {
-    for (const Tuple& t : s.Facts(r)) {
-      for (std::size_t i = 1; i < t.size(); ++i) uf.Union(t[0], t[i]);
-    }
-  }
-  // Group elements by root.
-  std::map<std::size_t, std::vector<Element>> groups;
-  for (std::size_t e = 0; e < n; ++e) {
-    groups[uf.Find(e)].push_back(static_cast<Element>(e));
-  }
-  std::vector<Structure> components;
-  std::vector<Element> rename(n, 0);
-  std::vector<std::size_t> component_of(n, 0);
-  std::size_t index = 0;
-  for (const auto& [root, members] : groups) {
-    (void)root;
-    Structure c(s.schema_ptr(), members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      rename[members[i]] = static_cast<Element>(i);
-      component_of[members[i]] = index;
-    }
-    components.push_back(std::move(c));
-    ++index;
-  }
-  for (RelationId r = 0; r < s.schema().NumRelations(); ++r) {
-    for (const Tuple& t : s.Facts(r)) {
-      if (t.empty()) {
-        // Each nullary fact is its own empty-domain component.
-        Structure c(s.schema_ptr(), 0);
-        c.AddFact(r, {});
-        components.push_back(std::move(c));
-        continue;
-      }
-      Tuple renamed(t.size());
-      for (std::size_t i = 0; i < t.size(); ++i) renamed[i] = rename[t[i]];
-      components[component_of[t[0]]].AddFact(r, std::move(renamed));
-    }
-  }
-  return components;
+  const ComponentRange components = s.Components();
+  return std::vector<Structure>(components.begin(), components.end());
 }
 
 namespace {

@@ -18,6 +18,7 @@ namespace bagdet {
 
 class StructureIndex;
 struct StructureCanonicalData;
+class ComponentRange;
 
 /// A domain element. Domains are always {0, ..., DomainSize()-1}.
 using Element = std::uint32_t;
@@ -44,15 +45,13 @@ class Structure {
   void EnsureDomain(std::size_t size) {
     if (size > domain_size_) {
       domain_size_ = size;
-      index_.reset();
-      canonical_.reset();
+      ResetCaches();
     }
   }
 
   /// Adds a fresh isolated element and returns it.
   Element AddElement() {
-    index_.reset();
-    canonical_.reset();
+    ResetCaches();
     return static_cast<Element>(domain_size_++);
   }
 
@@ -79,8 +78,18 @@ class Structure {
 
   /// True iff the structure's "Gaifman graph" is connected and the domain is
   /// nonempty — or the structure is a single nullary fact with empty domain.
-  /// The empty structure is not connected.
+  /// The empty structure is not connected. Reads Components().
   bool IsConnected() const;
+
+  /// Connected components (Section 2's notion, via the co-occurrence graph
+  /// on domain elements). Isolated elements become single-element
+  /// components; each nullary fact becomes its own empty-domain component;
+  /// the empty structure has none. Computed on first use and cached with
+  /// the same lifetime/invalidation rules as Index(). A connected structure
+  /// is its own single component: the range is {this, 1} and nothing is
+  /// copied. The range stays valid until the structure is mutated or
+  /// destroyed.
+  ComponentRange Components() const;
 
   /// Renames the domain through `mapping` (mapping[i] = new name of i) into a
   /// structure with domain size `new_domain_size`. The mapping need not be
@@ -120,6 +129,17 @@ class Structure {
   }
 
  private:
+  using ComponentList = std::vector<Structure>;
+
+  void ResetCaches() {
+    index_.reset();
+    canonical_.reset();
+    components_.reset();
+  }
+
+  /// The one decomposition routine behind Components().
+  static std::shared_ptr<const ComponentList> Decompose(const Structure& s);
+
   std::shared_ptr<const Schema> schema_;
   std::size_t domain_size_ = 0;
   // facts_[r] = sorted vector of unique tuples of relation r.
@@ -129,6 +149,27 @@ class Structure {
   mutable std::shared_ptr<const StructureIndex> index_;
   // Lazily computed canonical form, cached with the same sharing scheme.
   mutable std::shared_ptr<const StructureCanonicalData> canonical_;
+  // Lazily computed components, same sharing scheme. A connected structure
+  // holds a static marker instead of a copy of itself (see Decompose).
+  mutable std::shared_ptr<const ComponentList> components_;
+};
+
+/// Read-only view of a structure's connected components, as returned by
+/// Structure::Components(): a contiguous run of connected structures.
+class ComponentRange {
+ public:
+  ComponentRange(const Structure* first, std::size_t size)
+      : first_(first), size_(size) {}
+
+  const Structure* begin() const { return first_; }
+  const Structure* end() const { return first_ + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Structure& operator[](std::size_t i) const { return first_[i]; }
+
+ private:
+  const Structure* first_;
+  std::size_t size_;
 };
 
 /// Disjoint union A + B (Section 2.2); schemas must be equal. Nullary facts
@@ -149,9 +190,7 @@ Structure IteratedProduct(const Structure& a, std::uint64_t t);
 /// The all-loops singleton over a schema (identity of ×).
 Structure AllLoopsSingleton(std::shared_ptr<const Schema> schema);
 
-/// Connected components (Section 2's notion, via the co-occurrence graph on
-/// domain elements). Isolated elements become single-element components;
-/// each nullary fact becomes its own empty-domain component.
+/// An owned copy of s.Components().
 std::vector<Structure> ConnectedComponents(const Structure& s);
 
 /// Exact isomorphism test (backtracking with invariant pruning). Intended

@@ -1,6 +1,7 @@
 // Stress and differential tests for the concurrent serving core: the
-// sharded StructurePool under racing interns and the size-bounded
-// HomCache (budgets respected, evicted entries recompute identically).
+// sharded StructurePool under racing interns, the size-bounded HomCache
+// (budgets respected, evicted entries recompute identically), and the
+// lazily filled Structure caches behind decisions and certificate checks.
 // Threads here are raw std::threads deliberately oversubscribing the host
 // so the races are real even on a single-core runner; the TSan CI job
 // runs this whole file.
@@ -8,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/determinacy.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
+#include "query/parser.h"
+#include "structs/generator.h"
 #include "structs/pool.h"
 #include "structs/structure.h"
 #include "util/rng.h"
@@ -216,6 +221,136 @@ TEST(BoundedHomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {
   const HomCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses,
             kThreads * 20u * static_cast<std::uint64_t>(pairs.size()));
+}
+
+// --- Lazy Structure caches under concurrent decisions ----------------------
+
+// Example 2 (not determined) plus views that fail containment: q has no
+// R-loop and no S-2-cycle, so v3..v5 are irrelevant and never canonicalized
+// by the decision.
+constexpr const char* kMixedRelevanceProgram =
+    "v1() :- P(u,x), R(x,y)\n"
+    "v2() :- R(x,y), S(y,z)\n"
+    "v3() :- R(x,x)\n"
+    "v4() :- S(x,y), S(y,x)\n"
+    "v5() :- R(a,a), P(b,c)\n"
+    "q()  :- P(u,x), R(x,y), S(y,z)\n";
+
+struct ParsedInstance {
+  std::vector<ConjunctiveQuery> views;
+  ConjunctiveQuery query;
+};
+
+ParsedInstance ParseMixedRelevance() {
+  QueryParser parser;
+  std::vector<ConjunctiveQuery> rules =
+      parser.ParseProgram(kMixedRelevanceProgram);
+  ParsedInstance instance;
+  instance.query = rules.back();
+  rules.pop_back();
+  instance.views = std::move(rules);
+  return instance;
+}
+
+TEST(ConcurrentDecisionTest, CopiesOfOneUncanonicalizedInstanceDecideAlike) {
+  // Parsed once and never canonicalized; every thread decides on its own
+  // copies, with a private pool or one pool and cache shared by all.
+  const ParsedInstance instance = ParseMixedRelevance();
+  const DeterminacyResult reference =
+      DecideBagDeterminacy(instance.views, instance.query);
+  ASSERT_FALSE(reference.determined);
+  ASSERT_TRUE(reference.counterexample.has_value());
+  ASSERT_EQ(reference.analysis.relevant_views,
+            (std::vector<std::size_t>{0, 1}));
+
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared cache" : "private caches");
+    DeterminacyOptions options;
+    if (shared) options.shared_hom_cache = std::make_shared<HomCache>();
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::optional<DeterminacyResult>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        results[t] =
+            DecideBagDeterminacy(instance.views, instance.query, options);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const std::optional<DeterminacyResult>& result : results) {
+      ASSERT_TRUE(result.has_value());
+      EXPECT_FALSE(result->determined);
+      EXPECT_EQ(result->analysis.relevant_views,
+                reference.analysis.relevant_views);
+      ASSERT_TRUE(result->counterexample.has_value());
+      EXPECT_FALSE(
+          VerifyCounterexample(result->analysis, *result->counterexample)
+              .has_value());
+      if (!shared) {
+        // A shared pool may pick other isomorphic representatives, and
+        // with them another valid counterexample; private pools may not.
+        EXPECT_EQ(result->counterexample->coeffs_d,
+                  reference.counterexample->coeffs_d);
+        EXPECT_EQ(result->counterexample->coeffs_d_prime,
+                  reference.counterexample->coeffs_d_prime);
+      }
+    }
+  }
+}
+
+TEST(ConcurrentDecisionTest, CertificateChecksShareOneAnalysis) {
+  // One analysis whose irrelevant views were never canonicalized, read by
+  // VerifyCounterexample and CheckWitnessOnStructure threads at once. The
+  // witness lists every view, irrelevant ones included, so both entry
+  // points count bodies whose canonical form is cold. Expected values come
+  // from a separate decision so nothing warms the shared analysis first.
+  const ParsedInstance instance = ParseMixedRelevance();
+  const DeterminacyResult shared =
+      DecideBagDeterminacy(instance.views, instance.query);
+  const DeterminacyResult reference =
+      DecideBagDeterminacy(instance.views, instance.query);
+  ASSERT_TRUE(shared.counterexample.has_value());
+  DeterminacyWitness witness;
+  witness.exponents = Vec(instance.views.size());
+  for (std::size_t i = 0; i < instance.views.size(); ++i) {
+    witness.view_indices.push_back(i);
+    witness.exponents[i] = Rational(i % 2 == 0 ? 1 : -1);
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<Structure>> data(kThreads);
+  std::vector<std::vector<bool>> expected(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    Rng rng(500 + t);
+    for (int round = 0; round < kRounds; ++round) {
+      data[t].push_back(RandomStructure(instance.query.schema_ptr(),
+                                        2 + rng.Below(3), &rng));
+      expected[t].push_back(
+          CheckWitnessOnStructure(reference.analysis, witness, data[t].back()));
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (t % 2 == 0) {
+          if (VerifyCounterexample(shared.analysis, *shared.counterexample)
+                  .has_value()) {
+            failures.fetch_add(1);
+          }
+        } else if (CheckWitnessOnStructure(shared.analysis, witness,
+                                           data[t][round]) !=
+                   expected[t][round]) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

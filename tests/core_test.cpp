@@ -105,6 +105,35 @@ TEST(DecideTest, EmptyViewSetDeterminesOnlyTrivialQuery) {
             std::nullopt);
 }
 
+TEST(DecideTest, IrrelevantViewsAreNeverInterned) {
+  // q = P2 + E1 (a 2-edge path plus a separate edge). v1 = E1 and v2 = P2
+  // contain q; the loop, the 2-cycle and loop + edge do not (q has
+  // neither a loop nor a 2-cycle), so only q, v1 and v2 are interned.
+  QueryParser parser;
+  ConjunctiveQuery q = parser.ParseRule("q() :- E(x,y), E(y,z), E(u,w)");
+  std::vector<ConjunctiveQuery> views = {
+      parser.ParseRule("v1() :- E(x,y)"),
+      parser.ParseRule("v2() :- E(x,y), E(y,z)"),
+      parser.ParseRule("v3() :- E(x,x)"),
+      parser.ParseRule("v4() :- E(x,y), E(y,x)"),
+      parser.ParseRule("v5() :- E(a,a), E(b,c)"),
+  };
+  DeterminacyResult result = DecideBagDeterminacy(views, q);
+  ASSERT_TRUE(result.determined);
+  EXPECT_EQ(result.analysis.relevant_views, (std::vector<std::size_t>{0, 1}));
+  ASSERT_TRUE(result.witness.has_value());
+  EXPECT_EQ(result.witness->view_indices, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(result.witness->exponents, (Vec{Rational(1), Rational(1)}));
+
+  // The private pool holds exactly W, the component classes of q, v1, v2.
+  const StructurePool& pool = *result.analysis.pool;
+  EXPECT_EQ(result.analysis.basis_queries.size(), 2u);
+  EXPECT_EQ(pool.size(), 2u);
+  // The loop (v3, and a component of v5) and the 2-cycle (v4) are not.
+  EXPECT_EQ(pool.Find(views[2].FrozenBody()), kInvalidStructureRef);
+  EXPECT_EQ(pool.Find(views[3].FrozenBody()), kInvalidStructureRef);
+}
+
 TEST(DecideTest, Example32WitnessExponents) {
   // Example 32: with w1, w2, w3 pairwise non-isomorphic connected
   // structures, q = w1 + w2 + 2w3, v1 = 2w1 + w2 + 3w3,

@@ -510,13 +510,12 @@ TEST_F(GovernedTest, InjectedCancelMidCanonicalSearch) {
   if (!failpoint::Enabled()) {
     GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
   }
-  // Query bodies memoize their canonical data at construction (structure.h:
-  // canonical_) and component interning reuses those certificates, so the
-  // only canonical searches under the governed scope are for *fresh*
-  // structures — the distinguisher's sweep candidates. The tier-0 blind
-  // pair forces that sweep: its candidates (domain <= 4, under the caching
-  // cutoff) are canonicalized mid-decide, which is where the injected
-  // cancel lands.
+  // Query bodies are canonicalized lazily, inside the decision: interning
+  // q and the relevant views runs the first searches under the governed
+  // scope, and the distinguisher's sweep canonicalizes its fresh
+  // candidates later. The tier-0 blind pair forces that sweep (its
+  // candidates have domain <= 4, under the caching cutoff), so searches
+  // run mid-decide, and the injected cancel lands on the first of them.
   auto schema = GraphSchema();
   Structure a = TierZeroBlindA(schema);
   Structure b = TierZeroBlindB(schema);

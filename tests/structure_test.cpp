@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "structs/canonical.h"
 #include "structs/generator.h"
 #include "util/rng.h"
 
@@ -199,6 +200,147 @@ TEST(ConnectedComponentsTest, NullaryFactsAreOwnComponents) {
 
 TEST(ConnectedComponentsTest, EmptyStructureHasNone) {
   EXPECT_TRUE(ConnectedComponents(Structure(GraphSchema())).empty());
+}
+
+/// Graph edges plus a nullary relation H: E(0,1), E(1,2), E(4,3), E(5,5),
+/// H(), with element 6 isolated — five components of four kinds.
+Structure MixedStructure() {
+  auto schema = std::make_shared<Schema>();
+  RelationId e = schema->AddRelation("E", 2);
+  RelationId h = schema->AddRelation("H", 0);
+  Structure s(schema, 7);
+  s.AddFact(e, {0, 1});
+  s.AddFact(e, {1, 2});
+  s.AddFact(e, {4, 3});
+  s.AddFact(e, {5, 5});
+  s.AddFact(h, {});
+  return s;
+}
+
+/// Checks s.Components() against a decomposition of a cache-free rebuild
+/// of s, and against the definition: connected pieces whose disjoint union
+/// is isomorphic to s.
+void ExpectComponentsOf(const Structure& s, std::size_t expected_count) {
+  const ComponentRange components = s.Components();
+  ASSERT_EQ(components.size(), expected_count);
+  std::vector<Element> identity(s.DomainSize());
+  for (std::size_t e = 0; e < identity.size(); ++e) {
+    identity[e] = static_cast<Element>(e);
+  }
+  const std::vector<Structure> fresh =
+      ConnectedComponents(s.MapDomain(identity, s.DomainSize()));
+  ASSERT_EQ(fresh.size(), components.size());
+  Structure sum(s.schema_ptr());
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    EXPECT_EQ(components[i], fresh[i]) << i;
+    EXPECT_TRUE(components[i].IsConnected()) << i;
+    sum = DisjointUnion(sum, components[i]);
+  }
+  EXPECT_TRUE(IsIsomorphic(sum, s));
+  EXPECT_EQ(s.IsConnected(), expected_count == 1);
+}
+
+TEST(ComponentsTest, MatchesFreshDecomposition) {
+  Structure mixed = MixedStructure();
+  ExpectComponentsOf(mixed, 5);
+  // Repeated reads hit the cache: same storage, same contents.
+  EXPECT_EQ(&mixed.Components()[0], &mixed.Components()[0]);
+  ExpectComponentsOf(mixed, 5);
+
+  ExpectComponentsOf(Structure(GraphSchema()), 0);
+  ExpectComponentsOf(Structure(GraphSchema(), 3), 3);  // Isolated elements.
+
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("H", 0);
+  Structure lone_nullary(schema);
+  lone_nullary.AddFact(0, {});
+  ExpectComponentsOf(lone_nullary, 1);
+}
+
+TEST(ComponentsTest, ConnectedStructureIsItsOwnComponent) {
+  auto schema = GraphSchema();
+  Structure path(schema);
+  path.AddFact(0, {0, 1});
+  path.AddFact(0, {1, 2});
+  ASSERT_EQ(path.Components().size(), 1u);
+  EXPECT_EQ(&path.Components()[0], &path);
+  const Structure copy = path;
+  ASSERT_EQ(copy.Components().size(), 1u);
+  EXPECT_EQ(&copy.Components()[0], &copy);
+  // Pieces of a decomposition are connected, hence their own components.
+  Structure mixed = MixedStructure();
+  for (const Structure& piece : mixed.Components()) {
+    ASSERT_EQ(piece.Components().size(), 1u);
+    EXPECT_EQ(&piece.Components()[0], &piece);
+  }
+}
+
+TEST(ComponentsTest, MutationInvalidatesTheCache) {
+  auto schema = GraphSchema();
+  Structure s(schema);
+  s.AddFact(0, {0, 1});
+  s.AddFact(0, {1, 2});
+  ExpectComponentsOf(s, 1);
+  s.AddElement();  // Element 3, isolated.
+  ExpectComponentsOf(s, 2);
+  s.EnsureDomain(5);  // Element 4, isolated.
+  ExpectComponentsOf(s, 3);
+  s.AddFact(0, {3, 4});
+  ExpectComponentsOf(s, 2);
+
+  // No-op mutations keep the cached decomposition.
+  const Structure* cached = &s.Components()[0];
+  s.EnsureDomain(2);
+  s.AddFact(0, {3, 4});
+  EXPECT_EQ(&s.Components()[0], cached);
+
+  s.AddFact(0, {2, 3});
+  ExpectComponentsOf(s, 1);
+}
+
+TEST(ComponentsTest, CopiesShareTheCacheUntilEitherSideMutates) {
+  auto schema = GraphSchema();
+  Structure a(schema);
+  a.AddFact(0, {0, 1});
+  a.AddFact(0, {2, 3});
+  const Structure* cached = &a.Components()[0];
+
+  Structure b = a;
+  EXPECT_EQ(&b.Components()[0], cached);
+  b.AddFact(0, {1, 2});  // Mutating the copy leaves the original's cache.
+  ExpectComponentsOf(b, 1);
+  EXPECT_EQ(&a.Components()[0], cached);
+  ExpectComponentsOf(a, 2);
+
+  Structure c = a;
+  a.AddElement();  // Mutating the original leaves the copy's cache.
+  EXPECT_EQ(&c.Components()[0], cached);
+  ExpectComponentsOf(c, 2);
+  ExpectComponentsOf(a, 3);
+}
+
+TEST(ComponentsTest, CanonicalCertificatesAlignWithComponents) {
+  auto schema = GraphSchema();
+  Structure s(schema, 9);
+  // A loop, a 2-edge path, a 3-cycle and an edge with a loop at one end.
+  s.AddFact(0, {8, 8});
+  s.AddFact(0, {0, 1});
+  s.AddFact(0, {1, 2});
+  s.AddFact(0, {3, 4});
+  s.AddFact(0, {4, 5});
+  s.AddFact(0, {5, 3});
+  s.AddFact(0, {7, 6});
+  s.AddFact(0, {6, 6});
+  for (const Structure& t : {s, MixedStructure()}) {
+    const StructureCanonicalData data = ComputeCanonicalData(t);
+    const ComponentRange components = t.Components();
+    ASSERT_EQ(data.component_certificates.size(), components.size());
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      EXPECT_EQ(data.component_certificates[i],
+                ComponentCertificate(components[i]))
+          << i;
+    }
+  }
 }
 
 TEST(IsomorphismTest, DetectsRenamedCopies) {
