@@ -1,6 +1,6 @@
-// Regenerates the paper's worked examples as a table (EXPERIMENTS.md ids
-// EX2, EX3, EX13, EX32, C33): for each, the paper's claim and the verdict
-// our implementation computes.
+// paper_examples: regenerates the paper's worked examples (Examples 2, 3,
+// 13 and 32, Corollary 33) as a table: for each, the paper's claim and the
+// verdict our implementation computes. Exits 1 if any row is a MISMATCH.
 
 #include <iostream>
 #include <string>
@@ -13,10 +13,13 @@
 namespace bagdet {
 namespace {
 
+int g_mismatches = 0;
+
 void Row(const std::string& id, const std::string& claim,
          const std::string& computed, bool match) {
   std::cout << id << " | " << claim << " | " << computed << " | "
             << (match ? "REPRODUCED" : "MISMATCH") << "\n";
+  if (!match) ++g_mismatches;
 }
 
 void Example2() {
@@ -147,5 +150,5 @@ int main() {
   bagdet::Example13();
   bagdet::Example32();
   bagdet::Corollary33();
-  return 0;
+  return bagdet::g_mismatches == 0 ? 0 : 1;
 }

@@ -1,5 +1,5 @@
-// Regenerates the paper's two figures (EXPERIMENTS.md ids FIG1/EX39,
-// EX42, EX54/FIG2):
+// paper_figures: regenerates the paper's two figures and the examples
+// built on them:
 //  * Figure 1 / Example 39: a pair of connected non-isomorphic structures
 //    whose evaluation matrix M_W is singular;
 //  * Example 42: with that W as basis, no counterexample exists inside

@@ -34,9 +34,8 @@ BigInt CountInjectiveHoms(const Structure& from, const Structure& to);
 BigInt CountHomsNaive(const Structure& from, const Structure& to);
 
 /// Counting by backtracking enumeration (one visit per homomorphism).
-/// Exponential in the *count* — kept as the ablation baseline against the
-/// default variable-elimination counter (see bench_ablation) and for
-/// cross-validation when counts are small.
+/// Exponential in the *count* — a test reference that cross-validates the
+/// variable-elimination counter when counts are small.
 BigInt CountHomsByEnumeration(const Structure& from, const Structure& to);
 
 /// Enumerates homomorphisms, invoking `visit` with the image of every

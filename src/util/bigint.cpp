@@ -286,7 +286,7 @@ BigInt& BigInt::operator*=(const BigInt& other) {
   const limb::LimbSpan a = MagnitudeSpan(abuf);
   const limb::LimbSpan b = other.MagnitudeSpan(bbuf);
   std::uint32_t* dst = scratch.Alloc(a.size + b.size);
-  const std::size_t n = limb::MulInto(dst, a, b, scratch);
+  const std::size_t n = limb::MulInto(dst, a, b);
   CommitSpan(limb::LimbSpan{dst, n});
   negative_ = !IsZero() && result_negative;
   return *this;
@@ -314,7 +314,7 @@ BigInt& BigInt::MulAccumulate(const BigInt& a, const BigInt& b,
   const limb::LimbSpan sa = a.MagnitudeSpan(abuf);
   const limb::LimbSpan sb = b.MagnitudeSpan(bbuf);
   std::uint32_t* product = scratch.Alloc(sa.size + sb.size);
-  const std::size_t n = limb::MulInto(product, sa, sb, scratch);
+  const std::size_t n = limb::MulInto(product, sa, sb);
   AccumulateSigned(product_negative, limb::LimbSpan{product, n}, scratch);
   return *this;
 }

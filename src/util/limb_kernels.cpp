@@ -12,10 +12,6 @@ namespace {
 
 constexpr std::uint64_t kBase = 1ull << 32;
 
-/// Limb count below which schoolbook multiplication beats Karatsuba's
-/// bookkeeping (measured on the dev VM; see bench_linalg BM_BigIntMultiply).
-constexpr std::size_t kKaratsubaThreshold = 32;
-
 /// First arena block, in limbs (16 KiB).
 constexpr std::size_t kMinBlockLimbs = std::size_t{1} << 12;
 
@@ -28,7 +24,6 @@ thread_local std::uint64_t g_heap_allocs = 0;
 }  // namespace
 
 std::uint64_t HeapAllocCount() { return g_heap_allocs; }
-void ResetHeapAllocCount() { g_heap_allocs = 0; }
 void NoteHeapAlloc() { ++g_heap_allocs; }
 
 int Compare(LimbSpan a, LimbSpan b) {
@@ -92,28 +87,7 @@ std::size_t SubInPlace(std::uint32_t* a, std::size_t n, LimbSpan b) {
   return Trim(a, n);
 }
 
-namespace {
-
-/// dst[shift..] += s with carry propagation bounded by `total`. The caller
-/// guarantees the running value fits in `total` limbs, so the carry always
-/// resolves in bounds.
-void AddAt(std::uint32_t* dst, std::size_t total, LimbSpan s,
-           std::size_t shift) {
-  std::uint64_t carry = 0;
-  std::size_t i = 0;
-  for (; i < s.size; ++i) {
-    const std::uint64_t sum = carry + dst[shift + i] + s[i];
-    dst[shift + i] = static_cast<std::uint32_t>(sum & 0xffffffffu);
-    carry = sum >> 32;
-  }
-  for (; carry != 0 && shift + i < total; ++i) {
-    const std::uint64_t sum = carry + dst[shift + i];
-    dst[shift + i] = static_cast<std::uint32_t>(sum & 0xffffffffu);
-    carry = sum >> 32;
-  }
-}
-
-std::size_t MulSchoolbookInto(std::uint32_t* dst, LimbSpan a, LimbSpan b) {
+std::size_t MulInto(std::uint32_t* dst, LimbSpan a, LimbSpan b) {
   if (a.empty() || b.empty()) return 0;
   const std::size_t total = a.size + b.size;
   std::memset(dst, 0, total * sizeof(std::uint32_t));
@@ -129,53 +103,6 @@ std::size_t MulSchoolbookInto(std::uint32_t* dst, LimbSpan a, LimbSpan b) {
     dst[i + b.size] = static_cast<std::uint32_t>(carry);
   }
   return Trim(dst, total);
-}
-
-std::size_t KaratsubaInto(std::uint32_t* dst, LimbSpan a, LimbSpan b,
-                          ArenaScope& outer) {
-  if (a.size < kKaratsubaThreshold || b.size < kKaratsubaThreshold) {
-    return MulSchoolbookInto(dst, a, b);
-  }
-  // Split at half the longer operand: x = x1·B^m + x0.
-  const std::size_t m = std::max(a.size, b.size) / 2;
-  const LimbSpan a0{a.data, Trim(a.data, std::min(m, a.size))};
-  const LimbSpan a1 =
-      a.size > m ? LimbSpan{a.data + m, a.size - m} : LimbSpan{};
-  const LimbSpan b0{b.data, Trim(b.data, std::min(m, b.size))};
-  const LimbSpan b1 =
-      b.size > m ? LimbSpan{b.data + m, b.size - m} : LimbSpan{};
-  // Recursion scratch dies with this scope; `dst` lives in the caller's.
-  ArenaScope local;
-  static_cast<void>(outer);
-  std::uint32_t* z0 = local.Alloc(a0.size + b0.size);
-  const std::size_t z0n = KaratsubaInto(z0, a0, b0, local);
-  std::uint32_t* z2 = local.Alloc(a1.size + b1.size);
-  const std::size_t z2n = KaratsubaInto(z2, a1, b1, local);
-  // z1 = (a0+a1)(b0+b1) - z0 - z2.
-  std::uint32_t* a_sum = local.Alloc(std::max(a0.size, a1.size) + 1);
-  const std::size_t a_sum_n = AddInto(a_sum, a0, a1);
-  std::uint32_t* b_sum = local.Alloc(std::max(b0.size, b1.size) + 1);
-  const std::size_t b_sum_n = AddInto(b_sum, b0, b1);
-  std::uint32_t* z1 = local.Alloc(a_sum_n + b_sum_n);
-  std::size_t z1n =
-      KaratsubaInto(z1, LimbSpan{a_sum, a_sum_n}, LimbSpan{b_sum, b_sum_n},
-                    local);
-  z1n = SubInPlace(z1, z1n, LimbSpan{z0, z0n});
-  z1n = SubInPlace(z1, z1n, LimbSpan{z2, z2n});
-  // dst = z2·B^(2m) + z1·B^m + z0.
-  const std::size_t total = a.size + b.size;
-  std::memset(dst, 0, total * sizeof(std::uint32_t));
-  if (z0n != 0) std::memcpy(dst, z0, z0n * sizeof(std::uint32_t));
-  AddAt(dst, total, LimbSpan{z1, z1n}, m);
-  AddAt(dst, total, LimbSpan{z2, z2n}, 2 * m);
-  return Trim(dst, total);
-}
-
-}  // namespace
-
-std::size_t MulInto(std::uint32_t* dst, LimbSpan a, LimbSpan b,
-                    ArenaScope& scratch) {
-  return KaratsubaInto(dst, a, b, scratch);
 }
 
 DivModSpans DivMod(LimbSpan a, LimbSpan b, ArenaScope& scratch) {

@@ -77,13 +77,11 @@ std::size_t AccumulateInPlace(std::uint32_t* acc, std::size_t n, LimbSpan b);
 /// not alias `b`. Returns the trimmed result size.
 std::size_t SubInPlace(std::uint32_t* a, std::size_t n, LimbSpan b);
 
-class ArenaScope;
+/// dst := a * b, schoolbook. Capacity required: a.size + b.size. `dst`
+/// must not alias `a` or `b`. Returns the trimmed result size.
+std::size_t MulInto(std::uint32_t* dst, LimbSpan a, LimbSpan b);
 
-/// dst := a * b (schoolbook below the Karatsuba threshold, Karatsuba above,
-/// recursion scratch carved from `scratch`). Capacity required:
-/// a.size + b.size. `dst` must not alias `a` or `b`. Returns trimmed size.
-std::size_t MulInto(std::uint32_t* dst, LimbSpan a, LimbSpan b,
-                    ArenaScope& scratch);
+class ArenaScope;
 
 struct DivModSpans {
   LimbSpan quotient;
@@ -96,11 +94,10 @@ struct DivModSpans {
 DivModSpans DivMod(LimbSpan a, LimbSpan b, ArenaScope& scratch);
 
 /// Thread-local count of real heap acquisitions made on behalf of BigInt
-/// arithmetic (arena block growth + limb-vector capacity growth). Benches
-/// report the delta to prove the malloc traffic dropped; steady-state
-/// arithmetic loops should not move this counter.
+/// arithmetic (arena block growth + limb-vector capacity growth). The
+/// end-to-end benchmark reports its per-op delta; steady-state arithmetic
+/// loops should not move this counter.
 std::uint64_t HeapAllocCount();
-void ResetHeapAllocCount();
 void NoteHeapAlloc();
 
 /// Per-thread bump allocator for kernel scratch. Blocks are geometric and

@@ -1,8 +1,8 @@
 // Randomized BigInt differentials targeting the spots where the limb
-// kernels change algorithm or carry shape:
+// kernels change carry shape:
 //
-//   * the Karatsuba threshold boundary (31/32/33-limb operands straddle the
-//     schoolbook cutover, including the unbalanced split recursion),
+//   * large and unbalanced products (31/32/33-limb operands, square and
+//     mixed sizes),
 //   * the Knuth algorithm D q_hat correction (dividends engineered with
 //     saturated high limbs so the initial two-limb estimate overshoots),
 //   * Mod against the 2^63 domain edge,
@@ -41,11 +41,10 @@ BigInt ExactLimbs(Rng* rng, int limbs) {
 
 class BigIntDiffTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(BigIntDiffTest, KaratsubaThresholdBoundary) {
+TEST_P(BigIntDiffTest, LargeAndUnbalancedProducts) {
   Rng rng(GetParam());
-  // Threshold is 32 limbs: 31x31 is schoolbook, 32x32 is Karatsuba's first
-  // recursion, 33x33 exercises the odd split. Mixed sizes hit the padding
-  // of the shorter operand.
+  // Multi-limb operands of equal and mixed sizes, so the schoolbook
+  // carry chain runs over full rows of both lengths.
   const int sizes[] = {31, 32, 33};
   for (int iter = 0; iter < 4 * DiffIters(); ++iter) {
     for (int na : sizes) {
@@ -54,7 +53,7 @@ TEST_P(BigIntDiffTest, KaratsubaThresholdBoundary) {
         BigInt b = ExactLimbs(&rng, nb);
         BigInt c = testmat::RandomBig(&rng, 3);
         BigInt p = a * b;
-        // Commutativity and distributivity tie the Karatsuba path to the
+        // Commutativity and distributivity tie the multiply to the
         // (simple, carry-chain) addition path.
         EXPECT_EQ(p, b * a);
         EXPECT_EQ(a * (b + c), p + a * c);

@@ -271,12 +271,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BigIntRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Karatsuba multiplication: cross-validated against an independent
-// schoolbook recomputation via string arithmetic identities.
+// Large and unbalanced multiplication: cross-validated against division
+// and ring identities.
 
-class KaratsubaTest : public ::testing::TestWithParam<std::uint64_t> {};
+class LargeMultiplyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(KaratsubaTest, LargeProductsSatisfyRingIdentities) {
+TEST_P(LargeMultiplyTest, LargeProductsSatisfyRingIdentities) {
   Rng rng(GetParam() * 7919 + 1);
   auto random_big = [&rng](int limbs) {
     BigInt x(0);
@@ -287,12 +287,11 @@ TEST_P(KaratsubaTest, LargeProductsSatisfyRingIdentities) {
     return x;
   };
   for (int iter = 0; iter < 8; ++iter) {
-    // Sizes straddling the Karatsuba threshold (32 limbs), including
-    // unbalanced operands.
+    // 20-79 limb operands, usually of unbalanced sizes.
     BigInt a = random_big(20 + static_cast<int>(rng.Below(60)));
     BigInt b = random_big(20 + static_cast<int>(rng.Below(60)));
     BigInt c = random_big(5);
-    // Distributivity ties the fast path to additions (which are simple).
+    // Distributivity ties the multiply to additions (which are simple).
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ((a + b) * c, a * c + b * c);
     // Division (independent code path) inverts the product.
@@ -300,12 +299,12 @@ TEST_P(KaratsubaTest, LargeProductsSatisfyRingIdentities) {
     EXPECT_EQ(p / a, b);
     EXPECT_EQ(p % a, BigInt(0));
     EXPECT_EQ(p / b, a);
-    // Commutativity across the unbalanced split.
+    // Commutativity across unbalanced operand sizes.
     EXPECT_EQ(a * b, b * a);
   }
 }
 
-TEST_P(KaratsubaTest, SquaresOfPowersHaveExactDigits) {
+TEST_P(LargeMultiplyTest, SquaresOfPowersHaveExactDigits) {
   // (10^n)^2 = 10^(2n): digit counts pin the limb bookkeeping exactly.
   std::uint64_t n = 50 + GetParam() * 37;
   BigInt p = BigInt::Pow(BigInt(10), n);
@@ -314,7 +313,7 @@ TEST_P(KaratsubaTest, SquaresOfPowersHaveExactDigits) {
   EXPECT_EQ(BigInt::FloorKthRoot(square, 2), p);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, KaratsubaTest, ::testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Seeds, LargeMultiplyTest, ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------------
 // Aliasing regression suite. The compound operators route every result

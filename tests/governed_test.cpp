@@ -91,9 +91,9 @@ AdversarialInstance MakeAdversarial(std::size_t odd_len) {
   return inst;
 }
 
-/// Small pipeline instance (same shape as bench_determinacy's): directed
-/// cycles of lengths 1..k as components; the ramp view makes it
-/// undetermined so the whole counterexample path runs.
+/// Small pipeline instance: directed cycles of lengths 1..k as components;
+/// the ramp view makes it undetermined so the whole counterexample path
+/// runs.
 struct SmallInstance {
   ConjunctiveQuery query;
   std::vector<ConjunctiveQuery> views;

@@ -371,41 +371,59 @@ TEST_F(ServeTest, ConcurrentMixedLoadEveryRequestOneTypedOutcome) {
   const int iters = DiffIters();
   for (int iter = 0; iter < iters; ++iter) {
     ServiceOptions opts;
+    constexpr int kMaxQueue = 4;
     opts.max_concurrent = 2;
-    opts.max_queue = 4;
+    opts.max_queue = kMaxQueue;
     DeterminacyService service(opts);
 
     constexpr int kClients = 4;
     constexpr int kPerClient = 6;
+    // One more client submits bursts larger than the queue without waiting
+    // between submissions, then collects the futures. How many of them are
+    // shed depends on timing, so only the outcome accounting is asserted
+    // (QueueOverflowShedsTyped pins shedding deterministically).
+    constexpr int kBursts = 2;
+    constexpr int kBurstSize = kMaxQueue + 2;
     std::atomic<int> outcome_counts[4] = {};
+    auto random_request = [](std::mt19937& rng) {
+      switch (rng() % 3) {
+        case 0:
+          return MakeDeterminedRequest(2 + rng() % 3);
+        case 1:
+          return MakeUndeterminedRequest(2 + rng() % 2);
+        default:
+          return MakeAdversarialRequest(/*deadline_ms=*/20);
+      }
+    };
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         std::mt19937 rng(17 * (iter + 1) + c);
         for (int i = 0; i < kPerClient; ++i) {
-          ServeRequest req;
-          switch (rng() % 3) {
-            case 0:
-              req = MakeDeterminedRequest(2 + rng() % 3);
-              break;
-            case 1:
-              req = MakeUndeterminedRequest(2 + rng() % 2);
-              break;
-            default:
-              req = MakeAdversarialRequest(/*deadline_ms=*/20);
-              break;
-          }
-          ServeResponse resp = service.Call(req);
+          ServeResponse resp = service.Call(random_request(rng));
           ++outcome_counts[static_cast<int>(resp.outcome)];
         }
       });
     }
+    clients.emplace_back([&] {
+      std::mt19937 rng(17 * (iter + 1) + kClients);
+      for (int burst = 0; burst < kBursts; ++burst) {
+        std::vector<std::future<ServeResponse>> futures;
+        for (int i = 0; i < kBurstSize; ++i) {
+          futures.push_back(service.Submit(random_request(rng)));
+        }
+        for (std::future<ServeResponse>& f : futures) {
+          ++outcome_counts[static_cast<int>(f.get().outcome)];
+        }
+      }
+    });
     for (std::thread& t : clients) t.join();
     service.Shutdown();
 
     const int total = outcome_counts[0] + outcome_counts[1] +
                       outcome_counts[2] + outcome_counts[3];
-    EXPECT_EQ(total, kClients * kPerClient);  // Exactly one outcome each.
+    // Exactly one outcome each.
+    EXPECT_EQ(total, kClients * kPerClient + kBursts * kBurstSize);
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(total));
     EXPECT_EQ(stats.answered + stats.degraded + stats.shed + stats.declined,

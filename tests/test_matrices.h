@@ -1,9 +1,8 @@
 // Shared deterministic random-matrix generators for the linear-algebra
-// tests, benchmarks and the tuning tool. One copy, so the generators
-// cannot drift (a per-*entry* draw of the low-rank combination
-// coefficients would silently destroy the linear dependence a low-rank
-// case claims to test). Header-only, no gtest dependency, so bench/ and
-// tools/ can include it too.
+// and BigInt tests. One copy, so the generators cannot drift (a
+// per-*entry* draw of the low-rank combination coefficients would silently
+// destroy the linear dependence a low-rank case claims to test).
+// Header-only, no gtest dependency.
 
 #ifndef BAGDET_TESTS_TEST_MATRICES_H_
 #define BAGDET_TESTS_TEST_MATRICES_H_
