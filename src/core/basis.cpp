@@ -99,8 +99,9 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
   // The symbolic evaluation's leaf counts were all warmed by the Step-2
   // scan, so each row costs only the BigInt radix arithmetic.
   basis.evaluation = Mat(k, k);
+  SymbolicMemo memo;
   for (std::size_t i = 0; i < k; ++i) {
-    BigInt base_count = CountHomsSymbolic(w[i], basis.step2, cache);
+    BigInt base_count = CountHomsSymbolic(w[i], basis.step2, cache, &memo);
     BigInt q_count = cache->Count(w_refs[i], analysis.query.FrozenBody());
     BigInt power(1);
     for (std::size_t j = 0; j < k; ++j) {

@@ -298,24 +298,29 @@ std::optional<std::string> VerifyCounterexample(
     const InstanceAnalysis& analysis,
     const BagCounterexample& counterexample) {
   HomCache* cache = analysis.hom_cache.get();
+  // d and d′ share their s_j, and the bodies share component classes: one
+  // memo for every count below evaluates each (class, node) pair once.
+  // Each count is still rebuilt from leaf counts by Lemma 4; nothing is
+  // read back from the evaluation matrix.
+  SymbolicMemo memo;
   for (std::size_t i = 0; i < analysis.views.size(); ++i) {
     const ConjunctiveQuery& view = analysis.views[i];
     // A view that failed containment was never canonicalized, and the
     // analysis may be shared across threads: count a private copy, which
     // shares the warm caches and fills a cold canonical form for itself.
     const Structure body = view.FrozenBody();
-    BigInt on_d = CountHomsSymbolicAny(body, counterexample.d, cache);
+    BigInt on_d = CountHomsSymbolicAny(body, counterexample.d, cache, &memo);
     BigInt on_d_prime =
-        CountHomsSymbolicAny(body, counterexample.d_prime, cache);
+        CountHomsSymbolicAny(body, counterexample.d_prime, cache, &memo);
     if (on_d != on_d_prime) {
       return "view '" + view.name() + "' (index " + std::to_string(i) +
              ") differs: " + on_d.ToString() + " vs " + on_d_prime.ToString();
     }
   }
   BigInt q_on_d = CountHomsSymbolicAny(analysis.query.FrozenBody(),
-                                       counterexample.d, cache);
-  BigInt q_on_d_prime = CountHomsSymbolicAny(analysis.query.FrozenBody(),
-                                             counterexample.d_prime, cache);
+                                       counterexample.d, cache, &memo);
+  BigInt q_on_d_prime = CountHomsSymbolicAny(
+      analysis.query.FrozenBody(), counterexample.d_prime, cache, &memo);
   if (q_on_d == q_on_d_prime) {
     return "query agrees on both structures (" + q_on_d.ToString() +
            "); not a counterexample";

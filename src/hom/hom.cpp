@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 
+#include "structs/canonical.h"
 #include "structs/index.h"
 #include "util/bitset.h"
 #include "util/exec_context.h"
@@ -487,10 +490,38 @@ BigInt CountComponent(const Structure& component, const Structure& to) {
 }  // namespace
 
 BigInt CountHoms(const Structure& from, const Structure& to) {
+  const ComponentRange components = from.Components();
+  // hom(A + A + B, D) = hom(A, D)^2 · hom(B, D) (Lemma 4): count one
+  // component per isomorphism class and raise it to the class's
+  // multiplicity. Classes come from the cached per-component certificates
+  // when `from` already has a canonical form (never computed here: that
+  // would cost a labeling search and write to a possibly shared
+  // structure); otherwise only components that compare equal are grouped.
+  const StructureCanonicalData* canonical = from.CachedCanonicalData();
+  const bool by_certificate =
+      canonical != nullptr &&
+      canonical->component_certificates.size() == components.size();
+  auto same_class = [&](std::size_t a, std::size_t b) {
+    return by_certificate ? canonical->component_certificates[a] ==
+                                canonical->component_certificates[b]
+                          : components[a] == components[b];
+  };
+  // (representative index, multiplicity), in first-occurrence order.
+  std::vector<std::pair<std::size_t, std::uint64_t>> classes;
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    auto it = std::find_if(classes.begin(), classes.end(),
+                           [&](const auto& c) { return same_class(c.first, i); });
+    if (it == classes.end()) {
+      classes.emplace_back(i, 1);
+    } else {
+      ++it->second;
+    }
+  }
   BigInt product(1);
-  for (const Structure& component : from.Components()) {
-    BigInt c = CountComponent(component, to);
+  for (const auto& [representative, multiplicity] : classes) {
+    BigInt c = CountComponent(components[representative], to);
     if (c.IsZero()) return BigInt(0);
+    if (multiplicity > 1) c = BigInt::Pow(c, multiplicity);
     product *= c;
   }
   return product;

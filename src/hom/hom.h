@@ -4,8 +4,9 @@
 // hom counts (Section 2.1), the evaluation matrix of Definition 37 is a
 // hom-count matrix, and set-semantics containment is hom existence. The
 // engine decomposes A into connected components (Lemma 4(5)) and counts
-// each component by greedy-order variable elimination over the facts of D;
-// existence, injective counts and enumeration run a backtracking matcher.
+// one component per isomorphism class by greedy-order variable
+// elimination over the facts of D; existence, injective counts and
+// enumeration run a backtracking matcher.
 
 #ifndef BAGDET_HOM_HOM_H_
 #define BAGDET_HOM_HOM_H_
@@ -20,7 +21,10 @@
 namespace bagdet {
 
 /// Number of homomorphisms from `from` to `to`. Exact (BigInt); note
-/// |hom(∅, D)| = 1.
+/// |hom(∅, D)| = 1. Components of one class are counted once and the count
+/// raised to their multiplicity; classes are read from `from`'s cached
+/// canonical form when it has one (never computed here), otherwise only
+/// equal components are grouped.
 BigInt CountHoms(const Structure& from, const Structure& to);
 
 /// True iff at least one homomorphism exists (early-exit search).

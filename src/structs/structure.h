@@ -120,6 +120,13 @@ class Structure {
   /// same lifetime/invalidation rules as Index().
   const StructureCanonicalData& CanonicalData() const;
 
+  /// The cached canonical form, or null when none has been computed or
+  /// installed yet. Read-only: never starts the labeling search, so it is
+  /// safe on a frozen structure that other threads read concurrently.
+  const StructureCanonicalData* CachedCanonicalData() const {
+    return canonical_.get();
+  }
+
   /// Installs an externally computed canonical form, skipping the labeling
   /// search. The caller guarantees `data` describes this structure's
   /// current contents (interning layers hold the certificates already).

@@ -47,6 +47,11 @@ class StructureExpr {
   /// child^exponent; exponent 0 yields the all-loops singleton.
   static StructureExpr Power(StructureExpr child, std::uint64_t exponent);
 
+  /// Identity of this node: the address of the shared node, equal for
+  /// every handle to the same subterm. Valid only while some handle keeps
+  /// the node alive (an address can be reused after the node is freed).
+  const void* id() const { return node_.get(); }
+
   Kind kind() const { return node_->kind; }
   const Structure& base() const { return node_->base; }
   const std::vector<StructureExpr>& children() const { return node_->children; }

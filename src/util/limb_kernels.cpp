@@ -52,25 +52,6 @@ std::size_t AddInto(std::uint32_t* dst, LimbSpan a, LimbSpan b) {
   return i;
 }
 
-std::size_t AccumulateInPlace(std::uint32_t* acc, std::size_t n, LimbSpan b) {
-  std::uint64_t carry = 0;
-  std::size_t i = 0;
-  for (; i < b.size; ++i) {
-    const std::uint64_t sum =
-        carry + (i < n ? acc[i] : 0u) + b[i];
-    acc[i] = static_cast<std::uint32_t>(sum & 0xffffffffu);
-    carry = sum >> 32;
-  }
-  std::size_t size = std::max(n, b.size);
-  for (; carry != 0 && i < size; ++i) {
-    const std::uint64_t sum = carry + acc[i];
-    acc[i] = static_cast<std::uint32_t>(sum & 0xffffffffu);
-    carry = sum >> 32;
-  }
-  if (carry != 0) acc[size++] = static_cast<std::uint32_t>(carry);
-  return size;
-}
-
 std::size_t SubInPlace(std::uint32_t* a, std::size_t n, LimbSpan b) {
   std::int64_t borrow = 0;
   for (std::size_t i = 0; i < n; ++i) {

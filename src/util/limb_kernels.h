@@ -69,10 +69,6 @@ int Compare(LimbSpan a, LimbSpan b);
 /// alias `a` or `b`. Returns the trimmed result size.
 std::size_t AddInto(std::uint32_t* dst, LimbSpan a, LimbSpan b);
 
-/// acc[0..n) += b, in place. Capacity required: max(n, b.size) + 1. `acc`
-/// must not alias `b`. Returns the new size.
-std::size_t AccumulateInPlace(std::uint32_t* acc, std::size_t n, LimbSpan b);
-
 /// a[0..n) -= b, in place; requires magnitude(a) >= magnitude(b). `a` must
 /// not alias `b`. Returns the trimmed result size.
 std::size_t SubInPlace(std::uint32_t* a, std::size_t n, LimbSpan b);

@@ -353,5 +353,77 @@ TEST(ConcurrentDecisionTest, CertificateChecksShareOneAnalysis) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(ConcurrentDecisionTest, FrozenBodiesCountAndVerifyConcurrently) {
+  // Bodies that repeat component classes, so CountHoms groups them by the
+  // cached certificates of the frozen analysis's q and relevant views
+  // (v3 failed containment and has none: it groups by equality). Threads
+  // count those bodies, and copies of them, on one database while others
+  // run VerifyCounterexample on the same analysis.
+  QueryParser parser;
+  std::vector<ConjunctiveQuery> rules = parser.ParseProgram(
+      "v1() :- P(u,x), R(x,y), P(a,b), P(c,d)\n"
+      "v2() :- R(x,y), S(y,z), R(a,b)\n"
+      "v3() :- R(x,x), P(a,b), P(c,d)\n"
+      "q()  :- P(u,x), R(x,y), S(y,z), P(a,b), R(c,d), R(e,f)\n");
+  const ConjunctiveQuery query = rules.back();
+  rules.pop_back();
+  const DeterminacyResult shared = DecideBagDeterminacy(rules, query);
+  ASSERT_FALSE(shared.determined);
+  ASSERT_TRUE(shared.counterexample.has_value());
+  ASSERT_EQ(shared.analysis.relevant_views, (std::vector<std::size_t>{0, 1}));
+
+  std::vector<const ConjunctiveQuery*> bodies{&shared.analysis.query};
+  for (const ConjunctiveQuery& view : shared.analysis.views) {
+    bodies.push_back(&view);
+  }
+  ASSERT_NE(shared.analysis.query.FrozenBody().CachedCanonicalData(), nullptr);
+  ASSERT_EQ(shared.analysis.views[2].FrozenBody().CachedCanonicalData(),
+            nullptr);
+
+  // Expected counts from uncanonicalized copies of the parsed rules; the
+  // reference counts also warm the database's lazy index before sharing.
+  Rng rng(2026);
+  const Structure data = RandomStructure(query.schema_ptr(), 3, &rng);
+  std::vector<BigInt> expected;
+  expected.push_back(CountHomsNaive(query.FrozenBody(), data));
+  for (const ConjunctiveQuery& view : rules) {
+    expected.push_back(CountHomsNaive(view.FrozenBody(), data));
+  }
+  for (std::size_t b = 0; b < bodies.size(); ++b) {
+    ASSERT_FALSE(expected[b].IsZero()) << "body " << b;
+    ASSERT_EQ(CountHoms(bodies[b]->FrozenBody(), data), expected[b]);
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (t % 2 == 0) {
+          if (VerifyCounterexample(shared.analysis, *shared.counterexample)
+                  .has_value()) {
+            failures.fetch_add(1);
+          }
+          continue;
+        }
+        for (std::size_t b = 0; b < bodies.size(); ++b) {
+          const Structure copy = bodies[b]->FrozenBody();
+          if (bodies[b]->CountHomomorphisms(data) != expected[b] ||
+              CountHoms(copy, data) != expected[b]) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Counting never canonicalizes: the irrelevant view stays cold.
+  EXPECT_EQ(shared.analysis.views[2].FrozenBody().CachedCanonicalData(),
+            nullptr);
+}
+
 }  // namespace
 }  // namespace bagdet

@@ -3,11 +3,17 @@
 // (CountHomsByEnumeration) and brute-force assignment checking
 // (CountHomsNaive) must agree on every generated pair — including
 // disconnected sources, isolated elements, empty domains, and nullary
-// relations.
+// relations — and, with and without a cached canonical form, on sources
+// that repeat a component class verbatim or relabelled.
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "hom/hom.h"
+#include "structs/canonical.h"
 #include "structs/generator.h"
 #include "util/rng.h"
 #include "test_matrices.h"
@@ -126,6 +132,116 @@ TEST(HomDiffTest, DisconnectedSourcesWithNullaries) {
     ExpectAllEnginesAgree(from, to);
   }
   EXPECT_GT(disconnected, iters / 4);
+}
+
+/// CountHoms groups components by class: through the cached certificates
+/// when `from` has a canonical form, by exact equality otherwise. Checks
+/// both against the brute-force reference, and that counting never
+/// computes a canonical form itself.
+void ExpectGroupedCountExact(const Structure& from, const Structure& to) {
+  ASSERT_EQ(from.CachedCanonicalData(), nullptr);
+  const BigInt naive = CountHomsNaive(from, to);
+  EXPECT_EQ(CountHoms(from, to), naive)
+      << "uncanonicalized from=" << from.ToString() << " to=" << to.ToString();
+  EXPECT_EQ(from.CachedCanonicalData(), nullptr);
+  Structure canonical = from;
+  canonical.CanonicalData();
+  ASSERT_NE(canonical.CachedCanonicalData(), nullptr);
+  EXPECT_EQ(CountHoms(canonical, to), naive)
+      << "canonicalized from=" << from.ToString() << " to=" << to.ToString();
+}
+
+TEST(HomDiffTest, RepeatedAndRelabelledComponents) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId h = schema->AddRelation("H", 0);
+  const RelationId p = schema->AddRelation("P", 1);
+  const RelationId e = schema->AddRelation("E", 2);
+
+  // One class three times (twice verbatim, once relabelled), a class of
+  // the same size and fact count that is not isomorphic to it, a loop,
+  // two isolated elements and a nullary fact.
+  Structure from(schema);
+  from.AddFact(e, {0, 1});
+  from.AddFact(p, {0});
+  from.AddFact(e, {2, 3});
+  from.AddFact(p, {2});
+  from.AddFact(e, {5, 4});
+  from.AddFact(p, {5});
+  from.AddFact(e, {6, 7});
+  from.AddFact(p, {7});
+  from.AddFact(e, {8, 8});
+  from.EnsureDomain(11);
+  from.AddFact(h, {});
+  ASSERT_EQ(from.Components().size(), 8u);
+  ASSERT_NE(from.Components()[0], from.Components()[2]);  // Relabelled.
+
+  Structure to(schema, 3);
+  to.AddFact(h, {});
+  to.AddFact(p, {0});
+  to.AddFact(p, {1});
+  to.AddFact(e, {0, 1});
+  to.AddFact(e, {0, 2});
+  to.AddFact(e, {1, 1});
+  ExpectGroupedCountExact(from, to);
+  // hom = 3^3 (P on the source) · 2 (P on the target) · 1 (loop)
+  //       · 3^2 (isolated) · 1 (H).
+  EXPECT_EQ(CountHoms(from, to), BigInt(27 * 2 * 9));
+
+  // A missing nullary fact zeroes the count; so does an absent loop.
+  Structure no_h(schema, 2);
+  no_h.AddFact(p, {0});
+  no_h.AddFact(e, {0, 0});
+  ExpectGroupedCountExact(from, no_h);
+  Structure no_loop(schema, 2);
+  no_loop.AddFact(h, {});
+  no_loop.AddFact(p, {0});
+  no_loop.AddFact(e, {0, 1});
+  ExpectGroupedCountExact(from, no_loop);
+}
+
+TEST(HomDiffTest, RandomSourcesWithRepeatedComponents) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId h = schema->AddRelation("H", 0);
+  schema->AddRelation("P", 1);
+  schema->AddRelation("E", 2);
+  Rng rng(0xc1a55);
+  const int iters = 40 * testmat::DiffIterScale();
+  int grouped = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    // At most 10 source elements into at most 3 keeps the m^n reference
+    // cheap.
+    // Pieces of one size, so distinct classes often look alike.
+    Structure from(schema);
+    const std::size_t kinds = 1 + rng.Below(2);
+    const std::size_t piece_size = 1 + rng.Below(2);
+    for (std::size_t kind = 0; kind < kinds; ++kind) {
+      const Structure piece =
+          RandomConnectedStructure(schema, piece_size, &rng, 1, 2);
+      // Reversing the names relabels a two-element piece.
+      const Structure relabelled =
+          piece.MapDomain(piece_size == 2 ? std::vector<Element>{1, 0}
+                                          : std::vector<Element>{0},
+                          piece_size);
+      const std::size_t copies = 1 + rng.Below(3);
+      for (std::size_t c = 0; c < copies; ++c) {
+        if (from.DomainSize() + piece_size > 8) break;
+        from = DisjointUnion(from, rng.Below(2) == 0 ? piece : relabelled);
+      }
+    }
+    for (std::size_t i = rng.Below(3); i > 0; --i) from.AddElement();
+    if (rng.Below(2) == 0) from.AddFact(h, {});
+    ASSERT_LE(from.DomainSize(), 10u);
+    const Structure to = RandomStructure(schema, rng.Below(4), &rng, 1, 2);
+    ExpectGroupedCountExact(from, to);
+
+    const std::vector<std::string>& certificates =
+        from.CanonicalData().component_certificates;
+    const std::set<std::string> classes(certificates.begin(),
+                                        certificates.end());
+    if (classes.size() < certificates.size()) ++grouped;
+  }
+  // The sweep must actually repeat classes.
+  EXPECT_GT(grouped, iters / 2);
 }
 
 TEST(HomDiffTest, EnumerationVisitCountMatchesCount) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "hom/hom.h"
+#include "hom/hom_cache.h"
 #include "hom/symbolic.h"
 #include "structs/generator.h"
 #include "util/rng.h"
@@ -144,6 +149,123 @@ TEST_P(SymbolicVsMaterializedTest, AllShapesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicVsMaterializedTest,
                          ::testing::Values(301, 302, 303, 304, 305));
+
+// The good-basis shape of Lemma 40: s(2) = Σ_j T^j·b_j, shared by every
+// s_j = s(2)^j × q, and d, d′ = Σ_j c_j·s_j sharing every s_j.
+struct SharedDag {
+  std::vector<StructureExpr> leaves;  // b_1, ..., b_m and q.
+  StructureExpr d;
+  StructureExpr d_prime;
+};
+
+SharedDag BuildSharedDag(const std::shared_ptr<Schema>& schema,
+                         std::size_t k, std::size_t m, std::int64_t radix,
+                         std::size_t base_size, Rng* rng) {
+  SharedDag dag;
+  std::vector<StructureExpr> radix_terms;
+  for (std::size_t j = 0; j < m; ++j) {
+    dag.leaves.push_back(StructureExpr::Base(
+        RandomStructure(schema, 1 + rng->Below(base_size), rng)));
+    radix_terms.push_back(StructureExpr::Scalar(
+        BigInt::Pow(BigInt(radix), j + 1), dag.leaves.back()));
+  }
+  const StructureExpr s2 = StructureExpr::Sum(std::move(radix_terms), schema);
+  dag.leaves.push_back(StructureExpr::Base(
+      RandomConnectedStructure(schema, 1 + rng->Below(base_size), rng)));
+  const StructureExpr q = dag.leaves.back();
+  std::vector<StructureExpr> d_terms, d_prime_terms;
+  for (std::size_t j = 0; j < k; ++j) {
+    const StructureExpr s_j = StructureExpr::Product(
+        {StructureExpr::Power(s2, static_cast<std::uint64_t>(j)), q}, schema);
+    d_terms.push_back(StructureExpr::Scalar(BigInt(1), s_j));
+    d_prime_terms.push_back(
+        StructureExpr::Scalar(BigInt(static_cast<std::int64_t>(j % 2)), s_j));
+  }
+  dag.d = StructureExpr::Sum(std::move(d_terms), schema);
+  dag.d_prime = StructureExpr::Sum(std::move(d_prime_terms), schema);
+  return dag;
+}
+
+// Sources with repeated and shared component classes: two copies of one
+// connected piece, a relabelled third, and a second piece.
+Structure SourceWithSharedClasses(const std::shared_ptr<Schema>& schema,
+                                  Rng* rng) {
+  const Structure a = RandomConnectedStructure(schema, 1 + rng->Below(3), rng);
+  const Structure b = RandomConnectedStructure(schema, 1 + rng->Below(3), rng);
+  std::vector<Element> reversed(a.DomainSize());
+  for (std::size_t i = 0; i < reversed.size(); ++i) {
+    reversed[i] = static_cast<Element>(reversed.size() - 1 - i);
+  }
+  return DisjointUnion(
+      DisjointUnion(DisjointUnion(a, a), a.MapDomain(reversed, a.DomainSize())),
+      b);
+}
+
+TEST(SymbolicMemoTest, SharedSubtermsMatchTreeWalkAndMaterialization) {
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("R", 2);
+  schema->AddRelation("P", 1);
+  Rng rng(4242);
+  for (int iter = 0; iter < 8; ++iter) {
+    // k = 2, T = 2 and one-or-two-element bases keep d small enough to
+    // materialize.
+    const SharedDag dag = BuildSharedDag(schema, 2, 2, 2, 2, &rng);
+    const std::optional<Structure> d = dag.d.Materialize();
+    const std::optional<Structure> d_prime = dag.d_prime.Materialize();
+    ASSERT_TRUE(d.has_value() && d_prime.has_value()) << dag.d.ToString();
+    HomCache cache;
+    SymbolicMemo memo;
+    for (int source = 0; source < 3; ++source) {
+      const Structure from = SourceWithSharedClasses(schema, &rng);
+      for (const auto& [expr, materialized] :
+           {std::make_pair(&dag.d, &*d), std::make_pair(&dag.d_prime, &*d_prime)}) {
+        const BigInt memoized = CountHomsSymbolicAny(from, *expr, &cache, &memo);
+        EXPECT_EQ(memoized, CountHomsSymbolicAny(from, *expr))
+            << "from=" << from.ToString() << " expr=" << expr->ToString();
+        EXPECT_EQ(memoized, CountHoms(from, *materialized))
+            << "from=" << from.ToString() << " expr=" << expr->ToString();
+      }
+    }
+  }
+}
+
+TEST(SymbolicMemoTest, LargeSharedDagMatchesTreeWalkAndCountsEachLeafOnce) {
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("R", 2);
+  schema->AddRelation("P", 1);
+  Rng rng(777);
+  constexpr std::size_t kK = 6;
+  constexpr std::size_t kLeaves = 4;
+  for (int iter = 0; iter < 6; ++iter) {
+    const SharedDag dag = BuildSharedDag(schema, kK, kLeaves, 1000, 3, &rng);
+    ASSERT_FALSE(dag.d.Materialize().has_value());
+    const Structure from =
+        RandomConnectedStructure(schema, 1 + rng.Below(3), &rng);
+
+    // Tree walk through the cache: every visit of a leaf is a lookup.
+    HomCache tree_cache;
+    const BigInt tree_d = CountHomsSymbolicAny(from, dag.d, &tree_cache);
+    const BigInt tree_d_prime =
+        CountHomsSymbolicAny(from, dag.d_prime, &tree_cache);
+    EXPECT_EQ(tree_d, CountHomsSymbolicAny(from, dag.d));
+    EXPECT_EQ(tree_d_prime, CountHomsSymbolicAny(from, dag.d_prime));
+
+    // One memo across d and d′: each leaf is counted once for the source.
+    HomCache cache;
+    SymbolicMemo memo;
+    EXPECT_EQ(CountHomsSymbolicAny(from, dag.d, &cache, &memo), tree_d);
+    EXPECT_EQ(CountHomsSymbolicAny(from, dag.d_prime, &cache, &memo),
+              tree_d_prime);
+    const HomCache::Stats memo_stats = cache.stats();
+    EXPECT_EQ(memo_stats.hits + memo_stats.misses, dag.leaves.size());
+    const HomCache::Stats tree_stats = tree_cache.stats();
+    // The tree walk re-visits s(2)'s leaves under every s_j of d and d′.
+    EXPECT_GE(tree_stats.hits + tree_stats.misses, 2 * kK * kLeaves);
+    // The memo's hits are served without touching the cache again.
+    EXPECT_EQ(CountHomsSymbolicAny(from, dag.d, &cache, &memo), tree_d);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, dag.leaves.size());
+  }
+}
 
 }  // namespace
 }  // namespace bagdet
