@@ -1,12 +1,13 @@
 #include "core/basis.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
-#include "hom/symbolic.h"
 #include "linalg/gauss.h"
 
 namespace bagdet {
@@ -67,21 +68,25 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
 
   // Step 2: T must exceed every |hom(w_i, s(1)_j)| so the counts become
   // distinct radix-T numerals (Observation 45). These k × |S(1)| counts
-  // are also exactly the leaf counts the evaluation matrix needs below,
-  // so the scan doubles as a cache warm-up.
+  // are kept: the evaluation matrix below is built from them.
   BigInt t_radix(2);
-  for (StructureRef wi : w_refs) {
+  std::vector<std::vector<BigInt>> step1_counts(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    step1_counts[i].reserve(step1_refs.size());
     for (StructureRef s1 : step1_refs) {
-      BigInt count = cache->Count(wi, s1);
+      BigInt count = cache->Count(w_refs[i], s1);
       if (count >= t_radix) t_radix = count + BigInt(1);
+      step1_counts[i].push_back(std::move(count));
     }
   }
   basis.radix = t_radix;
+  std::vector<BigInt> radix_powers;  // T^(j+1)
   std::vector<StructureExpr> terms;
   for (std::size_t j = 0; j < basis.step1.size(); ++j) {
+    radix_powers.push_back(
+        BigInt::Pow(t_radix, static_cast<std::uint64_t>(j + 1)));
     terms.push_back(StructureExpr::Scalar(
-        BigInt::Pow(t_radix, static_cast<std::uint64_t>(j + 1)),
-        StructureExpr::Base(basis.step1[j])));
+        radix_powers[j], StructureExpr::Base(basis.step1[j])));
   }
   basis.step2 = StructureExpr::Sum(std::move(terms), schema);
 
@@ -94,14 +99,17 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
         schema));
   }
 
-  // Evaluation matrix M(i,j) = |hom(w_i, s_j)| via Lemma 4:
-  //   |hom(w_i, s_j)| = |hom(w_i, s(2))|^j · |hom(w_i, q)|.
-  // The symbolic evaluation's leaf counts were all warmed by the Step-2
-  // scan, so each row costs only the BigInt radix arithmetic.
+  // Evaluation matrix M(i,j) = |hom(w_i, s_j)| via Lemma 4 (w_i is
+  // connected):
+  //   |hom(w_i, s(2))| = Σ_j T^(j+1) · |hom(w_i, s(1)_j)|,
+  //   |hom(w_i, s_j)|  = |hom(w_i, s(2))|^j · |hom(w_i, q)|,
+  // so each row costs only the radix arithmetic over the Step-2 counts.
   basis.evaluation = Mat(k, k);
-  SymbolicMemo memo;
   for (std::size_t i = 0; i < k; ++i) {
-    BigInt base_count = CountHomsSymbolic(w[i], basis.step2, cache, &memo);
+    BigInt base_count(0);
+    for (std::size_t j = 0; j < radix_powers.size(); ++j) {
+      base_count.MulAdd(radix_powers[j], step1_counts[i][j]);
+    }
     BigInt q_count = cache->Count(w_refs[i], analysis.query.FrozenBody());
     BigInt power(1);
     for (std::size_t j = 0; j < k; ++j) {

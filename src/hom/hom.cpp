@@ -235,19 +235,55 @@ class Matcher {
   std::vector<std::vector<Element>> bound_stack_;
 };
 
-/// Open-addressing hash table from packed keys — `width` Elements stored
-/// back to back in one arena — to BigInt counts. This is the DP table of
-/// the variable-elimination counter: no per-entry node allocations, no
-/// tree comparisons, keys contiguous in memory.
+/// DP table of the variable-elimination counter: packed keys — `width`
+/// Elements stored back to back in one arena — mapped to BigInt counts,
+/// kept in insertion order. A key space of at most kDirectCells cells
+/// (|dom(to)|^width) is indexed directly, the key read as a base-|dom(to)|
+/// numeral: no hash, probe or key compare. Larger key spaces use open
+/// addressing. `Reset` empties the table for the next DP step and keeps
+/// its capacity, so a plan reuses two tables for all its steps.
 class FlatTable {
  public:
-  explicit FlatTable(std::size_t width) : width_(width) {
-    slots_.assign(16, 0);
+  /// Targets of up to 256 elements index width-2 keys directly; 2^16
+  /// slots cost 256 KiB per table.
+  static constexpr std::size_t kDirectCells = std::size_t{1} << 16;
+
+  /// Empties the table and sets it up for keys of `width` elements of a
+  /// `domain`-element target; a hash-mode table is presized for `expect`
+  /// entries. Clears every slot the old contents used, whatever the old
+  /// mode, width or domain, so no stale slot survives.
+  void Reset(std::size_t width, std::size_t domain, std::size_t expect) {
+    if (direct_) {
+      for (std::size_t entry = 0; entry < counts_.size(); ++entry) {
+        slots_[DirectIndex(Key(entry))] = 0;
+      }
+    } else {
+      std::fill_n(slots_.begin(), used_slots_, 0u);
+    }
+    arena_.clear();
+    counts_.clear();
+    std::size_t cells = 1;
+    for (std::size_t i = 0; i < width && cells <= kDirectCells; ++i) {
+      cells *= domain;
+    }
+    const bool direct = cells <= kDirectCells;
+    std::size_t used = cells;
+    if (!direct) {
+      used = 16;
+      while (expect * 4 >= used * 3) used *= 2;
+    }
+    if (slots_.size() < used) {
+      BAGDET_FAILPOINT("hom/dp_table_grow");
+      slots_.resize(used, 0);
+    }
+    width_ = width;
+    domain_ = domain;
+    direct_ = direct;
+    used_slots_ = used;
   }
 
   std::size_t size() const { return counts_.size(); }
   bool empty() const { return counts_.empty(); }
-  std::size_t width() const { return width_; }
 
   const Element* Key(std::size_t entry) const {
     return arena_.data() + entry * width_;
@@ -256,20 +292,14 @@ class FlatTable {
 
   /// table[key] += delta, inserting the key when absent.
   void Add(const Element* key, const BigInt& delta) {
-    if ((counts_.size() + 1) * 4 >= slots_.size() * 3) Grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t slot = HashKey(key) & mask;
-    while (slots_[slot] != 0) {
-      const std::size_t entry = slots_[slot] - 1;
-      if (KeyEquals(entry, key)) {
-        counts_[entry] += delta;
-        return;
-      }
-      slot = (slot + 1) & mask;
+    std::uint32_t& slot = direct_ ? slots_[DirectIndex(key)] : HashSlot(key);
+    if (slot != 0) {
+      counts_[slot - 1] += delta;
+      return;
     }
-    slots_[slot] = static_cast<std::uint32_t>(counts_.size() + 1);
     arena_.insert(arena_.end(), key, key + width_);
     counts_.push_back(delta);
+    slot = static_cast<std::uint32_t>(counts_.size());
   }
 
   /// Resident footprint (capacities, not sizes — what the allocator holds).
@@ -283,6 +313,12 @@ class FlatTable {
   }
 
  private:
+  std::size_t DirectIndex(const Element* key) const {
+    std::size_t index = 0;
+    for (std::size_t i = 0; i < width_; ++i) index = index * domain_ + key[i];
+    return index;
+  }
+
   std::uint64_t HashKey(const Element* key) const {
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
     for (std::size_t i = 0; i < width_; ++i) {
@@ -293,26 +329,44 @@ class FlatTable {
   }
 
   bool KeyEquals(std::size_t entry, const Element* key) const {
-    const Element* stored = arena_.data() + entry * width_;
+    const Element* stored = Key(entry);
     for (std::size_t i = 0; i < width_; ++i) {
       if (stored[i] != key[i]) return false;
     }
     return true;
   }
 
-  void Grow() {
-    BAGDET_FAILPOINT("hom/dp_table_grow");
-    std::vector<std::uint32_t> fresh(slots_.size() * 2, 0);
-    const std::size_t mask = fresh.size() - 1;
-    for (std::size_t entry = 0; entry < counts_.size(); ++entry) {
-      std::size_t slot = HashKey(Key(entry)) & mask;
-      while (fresh[slot] != 0) slot = (slot + 1) & mask;
-      fresh[slot] = static_cast<std::uint32_t>(entry + 1);
+  /// The hash-mode slot holding `key`, or the empty slot it goes into
+  /// (after growing, when one more entry would pass 3/4 load).
+  std::uint32_t& HashSlot(const Element* key) {
+    if ((counts_.size() + 1) * 4 >= used_slots_ * 3) Grow();
+    const std::size_t mask = used_slots_ - 1;
+    std::size_t slot = HashKey(key) & mask;
+    while (slots_[slot] != 0 && !KeyEquals(slots_[slot] - 1, key)) {
+      slot = (slot + 1) & mask;
     }
-    slots_ = std::move(fresh);
+    return slots_[slot];
   }
 
-  std::size_t width_;
+  void Grow() {
+    BAGDET_FAILPOINT("hom/dp_table_grow");
+    if (slots_.size() < used_slots_ * 2) slots_.resize(used_slots_ * 2, 0);
+    std::fill_n(slots_.begin(), used_slots_, 0u);
+    used_slots_ *= 2;
+    const std::size_t mask = used_slots_ - 1;
+    for (std::size_t entry = 0; entry < counts_.size(); ++entry) {
+      std::size_t slot = HashKey(Key(entry)) & mask;
+      while (slots_[slot] != 0) slot = (slot + 1) & mask;
+      slots_[slot] = static_cast<std::uint32_t>(entry + 1);
+    }
+  }
+
+  std::size_t width_ = 0;
+  std::size_t domain_ = 0;
+  bool direct_ = false;
+  // Slots in use: the key space's cells (direct) or the power-of-two
+  // probe range (hash). Every slot outside them is zero.
+  std::size_t used_slots_ = 0;
   std::vector<Element> arena_;   // size() * width_ elements
   std::vector<BigInt> counts_;   // parallel to packed keys
   std::vector<std::uint32_t> slots_;  // entry index + 1; 0 = empty
@@ -322,6 +376,7 @@ class FlatTable {
 BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
                  const Structure& to) {
   const StructureIndex& to_index = to.Index();
+  const std::size_t domain = to.DomainSize();
   // Last atom-task index using each element of the component.
   std::vector<std::size_t> last_use(component.DomainSize(), 0);
   for (std::size_t i = 0; i < plan.size(); ++i) {
@@ -329,9 +384,15 @@ BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
   }
   // The table maps assignments of the live variables (kept sorted by
   // variable id in `live`) to the number of extensions producing them.
-  std::vector<Element> live;
-  FlatTable table(0);
-  table.Add(nullptr, BigInt(1));
+  // Each step fills `next` from `table`, then the two swap.
+  FlatTable tables[2];
+  FlatTable* table = &tables[0];
+  FlatTable* next = &tables[1];
+  table->Reset(0, domain, 1);
+  table->Add(nullptr, BigInt(1));
+  // Per-step scratch, sized anew each step but allocated once per plan.
+  std::vector<Element> live, next_live, kept, projected;
+  std::vector<std::size_t> key_slot, same_as, kept_from_key, kept_from_fact;
   // Connected components with facts have no isolated elements, but stay
   // correct if one ever appears in a plan: each contributes a free factor
   // of |dom(to)|.
@@ -345,7 +406,7 @@ BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
     BAGDET_FAILPOINT("hom/dp_step");
     const Task& task = plan[i];
     if (!task.is_atom) {
-      isolated_factor *= BigInt(static_cast<std::int64_t>(to.DomainSize()));
+      isolated_factor *= BigInt(static_cast<std::int64_t>(domain));
       continue;
     }
     const std::vector<Tuple>& facts = to.Facts(task.relation);
@@ -355,7 +416,7 @@ BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
       continue;
     }
     // New live set: current ∪ atom vars; `kept` drops vars last used here.
-    std::vector<Element> next_live = live;
+    next_live = live;
     for (Element var : task.atom) {
       if (std::find(next_live.begin(), next_live.end(), var) ==
           next_live.end()) {
@@ -363,56 +424,48 @@ BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
       }
     }
     std::sort(next_live.begin(), next_live.end());
-    std::vector<Element> kept;
+    kept.clear();
     for (Element var : next_live) {
       if (last_use[var] > i) kept.push_back(var);
     }
-    // Resolve every variable→slot lookup once for the whole step.
-    auto slot_in = [](const std::vector<Element>& vars, Element var) {
-      return static_cast<std::size_t>(
-          std::find(vars.begin(), vars.end(), var) - vars.begin());
-    };
-    std::vector<std::size_t> live_slot(live.size());
-    for (std::size_t v = 0; v < live.size(); ++v) {
-      live_slot[v] = slot_in(next_live, live[v]);
-    }
-    std::vector<std::size_t> atom_slot(task.atom.size());
-    // key_slot[pos]: index into the current table key whose value binds
-    // atom position `pos`, or npos when the position is free.
+    // Resolve every variable lookup once for the whole step. A fact
+    // matches an entry when each position bound by the entry's key
+    // (key_slot) carries the key's value and each repeat of a new
+    // variable (same_as) carries the value of its first position.
     constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> key_slot(task.atom.size(), npos);
+    auto index_in = [](const std::vector<Element>& vars, Element var) {
+      const auto it = std::find(vars.begin(), vars.end(), var);
+      return it == vars.end() ? npos
+                              : static_cast<std::size_t>(it - vars.begin());
+    };
+    key_slot.resize(task.atom.size());
+    same_as.resize(task.atom.size());
     for (std::size_t pos = 0; pos < task.atom.size(); ++pos) {
-      atom_slot[pos] = slot_in(next_live, task.atom[pos]);
-      std::size_t in_live = slot_in(live, task.atom[pos]);
-      if (in_live < live.size()) key_slot[pos] = in_live;
+      key_slot[pos] = index_in(live, task.atom[pos]);
+      same_as[pos] = npos;
+      if (key_slot[pos] != npos) continue;
+      for (std::size_t prev = 0; prev < pos; ++prev) {
+        if (task.atom[prev] == task.atom[pos]) {
+          same_as[pos] = prev;
+          break;
+        }
+      }
     }
-    std::vector<std::size_t> kept_slot(kept.size());
+    // Each kept variable is read from the entry's key when it was live,
+    // otherwise from the first atom position that binds it.
+    kept_from_key.resize(kept.size());
+    kept_from_fact.resize(kept.size());
     for (std::size_t k = 0; k < kept.size(); ++k) {
-      kept_slot[k] = slot_in(next_live, kept[k]);
+      kept_from_key[k] = index_in(live, kept[k]);
+      kept_from_fact[k] = index_in(task.atom, kept[k]);
     }
-    // Slots of next_live not carried over from live: these must read as
-    // unassigned at the start of every fact probe.
-    std::vector<std::size_t> fresh_slots;
-    for (std::size_t s = 0; s < next_live.size(); ++s) {
-      bool carried = false;
-      for (std::size_t v = 0; v < live.size() && !carried; ++v) {
-        carried = live_slot[v] == s;
-      }
-      if (!carried) fresh_slots.push_back(s);
-    }
-    FlatTable next_table(kept.size());
-    const std::uint64_t prev_table_bytes = table.ApproxBytes();
-    std::vector<Element> joined(next_live.size(), kUnassigned);
-    std::vector<Element> projected(kept.size());
-    for (std::size_t entry = 0; entry < table.size(); ++entry) {
+    next->Reset(kept.size(), domain, table->size());
+    const std::uint64_t prev_table_bytes = table->ApproxBytes();
+    projected.resize(kept.size());
+    for (std::size_t entry = 0; entry < table->size(); ++entry) {
       ExecCheckPoint("hom.dp");
-      const Element* key = table.Key(entry);
-      const BigInt& count = table.Count(entry);
-      // Fill the carried-over slots once per entry; fact probes only touch
-      // fresh slots.
-      for (std::size_t v = 0; v < live.size(); ++v) {
-        joined[live_slot[v]] = key[v];
-      }
+      const Element* key = table->Key(entry);
+      const BigInt& count = table->Count(entry);
       // Most selective bucket among the bound positions.
       std::size_t best_pos = npos;
       std::size_t best_size = facts.size();
@@ -437,31 +490,30 @@ BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
         ExecCheckPoint("hom.dp");
         const Tuple& fact =
             best_pos != npos ? facts[bucket.first[c]] : facts[c];
-        for (std::size_t s : fresh_slots) joined[s] = kUnassigned;
         bool ok = true;
         for (std::size_t pos = 0; pos < fact.size() && ok; ++pos) {
-          Element& slot_value = joined[atom_slot[pos]];
-          if (slot_value == kUnassigned) {
-            slot_value = fact[pos];
-          } else if (slot_value != fact[pos]) {
-            ok = false;
+          if (key_slot[pos] != npos) {
+            ok = fact[pos] == key[key_slot[pos]];
+          } else if (same_as[pos] != npos) {
+            ok = fact[pos] == fact[same_as[pos]];
           }
         }
         if (!ok) continue;
         for (std::size_t k = 0; k < kept.size(); ++k) {
-          projected[k] = joined[kept_slot[k]];
+          projected[k] = kept_from_key[k] != npos ? key[kept_from_key[k]]
+                                                  : fact[kept_from_fact[k]];
         }
-        next_table.Add(projected.data(), count);
+        next->Add(projected.data(), count);
       }
-      dp_mem.Update(prev_table_bytes + next_table.ApproxBytes());
+      dp_mem.Update(prev_table_bytes + next->ApproxBytes());
     }
-    live = std::move(kept);
-    table = std::move(next_table);
-    if (table.empty()) return BigInt(0);
+    live.swap(kept);
+    std::swap(table, next);
+    if (table->empty()) return BigInt(0);
   }
   BigInt total(0);
-  for (std::size_t entry = 0; entry < table.size(); ++entry) {
-    total += table.Count(entry);
+  for (std::size_t entry = 0; entry < table->size(); ++entry) {
+    total += table->Count(entry);
   }
   total *= isolated_factor;
   return total;

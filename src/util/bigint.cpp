@@ -213,7 +213,7 @@ void BigInt::AccumulateSigned(bool addend_negative, limb::LimbSpan magnitude,
   }
 }
 
-BigInt& BigInt::operator+=(const BigInt& other) {
+BigInt& BigInt::AddSlow(const BigInt& other) {
   if (IsSmall() && other.IsSmall()) {
     if (negative_ == other.negative_) {
       std::uint64_t sum = small_ + other.small_;

@@ -85,7 +85,19 @@ class BigInt {
   BigInt operator-() const;
   BigInt Abs() const;
 
-  BigInt& operator+=(const BigInt& other);
+  BigInt& operator+=(const BigInt& other) {
+    // Inline fast path for the DP engine's common case: both magnitudes
+    // inline, same sign, no carry out of 64 bits.
+    if (limbs_.empty() && other.limbs_.empty() &&
+        negative_ == other.negative_) {
+      const std::uint64_t sum = small_ + other.small_;
+      if (sum >= small_) {
+        small_ = sum;
+        return *this;
+      }
+    }
+    return AddSlow(other);
+  }
   BigInt& operator-=(const BigInt& other);
   BigInt& operator*=(const BigInt& other);
   BigInt& operator/=(const BigInt& other);  ///< Truncated (toward zero).
@@ -169,6 +181,8 @@ class BigInt {
   // magnitude span may alias `limbs_` (it is consumed before the commit).
   void AccumulateSigned(bool addend_negative, limb::LimbSpan magnitude,
                         limb::ArenaScope& scratch);
+  // Every case of += that the inline fast path does not take.
+  BigInt& AddSlow(const BigInt& other);
   // Shared core of MulAdd/MulSub.
   BigInt& MulAccumulate(const BigInt& a, const BigInt& b, bool subtract);
   // Installs a magnitude from an owned vector, compacting into `small_`

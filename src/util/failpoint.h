@@ -28,7 +28,9 @@
 //
 // Registered sites (grep for BAGDET_FAILPOINT):
 //   hom/dp_step        once per DP join step (hom.cpp RunDpPlan)
-//   hom/dp_table_grow  FlatTable rehash — kBadAlloc models table OOM
+//   hom/dp_table_grow  FlatTable slot allocation: a hash-mode Grow, or a
+//                      Reset that enlarges the slot array — kBadAlloc
+//                      models table OOM
 //   hom/matcher        once per Matcher backtracking node
 //   canonical/branch   once per individualization-refinement branch
 //   pool/intern        before a StructurePool entry is created

@@ -548,8 +548,9 @@ TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {
     GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
   }
   auto schema = GraphSchema();
-  // C5 -> K5 keeps two live variables, so the DP table reaches 25 entries
-  // and must grow past the initial 16 slots — the injection site.
+  // C5 -> K5 keeps two live variables over five elements: a 25-cell key
+  // space, indexed directly, so the injection site fires when a Reset
+  // first allocates a table's slots.
   Structure from = SymmetricCycle(schema, 5);
   Structure to = FullDigraph(schema, 5);
   const BigInt baseline = CountHoms(from, to);
@@ -563,6 +564,52 @@ TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {
       RunGoverned(exec, &status, [&] { return CountHoms(from, to); });
   EXPECT_FALSE(value.has_value());
   EXPECT_EQ(status.code, ExecCode::kResourceExhausted);
+  failpoint::DisarmAll();
+  EXPECT_EQ(CountHoms(from, to), baseline);
+}
+
+TEST_F(GovernedTest, InjectedAllocFailureInHashModeDpTableGrow) {
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
+  }
+  auto schema = GraphSchema();
+  // One undirected edge keeps both ends live after its first atom. Over
+  // 257 elements that key space has 257^2 = 66049 cells, past the 2^16
+  // that are indexed directly, so the table hashes; its 1028 entries
+  // (the target's edges: i <-> i+1 and i <-> i+2, mod 257) grow it from
+  // 16 slots.
+  Structure from(schema, 2);
+  from.AddFact(0, {0, 1});
+  from.AddFact(0, {1, 0});
+  constexpr Element kN = 257;
+  Structure to(schema, kN);
+  for (Element i = 0; i < kN; ++i) {
+    for (Element step : {1u, 2u}) {
+      const Element j = (i + step) % kN;
+      to.AddFact(0, {i, j});
+      to.AddFact(0, {j, i});
+    }
+  }
+  const BigInt baseline = CountHoms(from, to);
+  ASSERT_EQ(baseline, BigInt(4 * kN));
+  failpoint::Arm("hom/dp_table_grow", failpoint::Config{});  // Counts only.
+  EXPECT_EQ(CountHoms(from, to), baseline);
+  const std::uint64_t hits = failpoint::HitCount("hom/dp_table_grow");
+  // Two atoms: at most three Resets (the first table, one per atom) can
+  // allocate, so the other hits are hash-mode Grows. Each one must unwind.
+  EXPECT_GT(hits, 3u);
+  for (std::uint64_t hit = 1; hit <= hits; ++hit) {
+    failpoint::Config cfg;
+    cfg.action = failpoint::Action::kBadAlloc;
+    cfg.hit_on = hit;
+    failpoint::Arm("hom/dp_table_grow", cfg);
+    ExecContext exec{ExecLimits{}};
+    ExecStatus status;
+    auto value =
+        RunGoverned(exec, &status, [&] { return CountHoms(from, to); });
+    EXPECT_FALSE(value.has_value()) << "hit " << hit;
+    EXPECT_EQ(status.code, ExecCode::kResourceExhausted) << "hit " << hit;
+  }
   failpoint::DisarmAll();
   EXPECT_EQ(CountHoms(from, to), baseline);
 }

@@ -4,10 +4,15 @@
 // (CountHomsNaive) must agree on every generated pair — including
 // disconnected sources, isolated elements, empty domains, and nullary
 // relations — and, with and without a cached canonical form, on sources
-// that repeat a component class verbatim or relabelled.
+// that repeat a component class verbatim or relabelled. Counts whose DP
+// key space sits on either side of the direct-indexing threshold (2^16
+// cells) are pinned to closed forms instead, where the naive reference
+// would be too slow.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -242,6 +247,157 @@ TEST(HomDiffTest, RandomSourcesWithRepeatedComponents) {
   }
   // The sweep must actually repeat classes.
   EXPECT_GT(grouped, iters / 2);
+}
+
+// The graph builders below write relation 0, which must be binary.
+
+/// Complete loopless digraph K_n: every ordered pair of distinct elements.
+Structure Clique(const std::shared_ptr<Schema>& schema, std::size_t n) {
+  Structure s(schema, n);
+  for (Element a = 0; a < n; ++a) {
+    for (Element b = 0; b < n; ++b) {
+      if (a != b) s.AddFact(0, {a, b});
+    }
+  }
+  return s;
+}
+
+/// Transitive tournament on n elements: a -> b for every a > b. Paths
+/// into it descend, so their keys reach element 0.
+Structure Tournament(const std::shared_ptr<Schema>& schema, std::size_t n) {
+  Structure s(schema, n);
+  for (Element a = 0; a < n; ++a) {
+    for (Element b = 0; b < a; ++b) s.AddFact(0, {a, b});
+  }
+  return s;
+}
+
+/// Directed path with `edges` edges: 0 -> 1 -> ... -> edges.
+Structure DirectedPath(const std::shared_ptr<Schema>& schema,
+                       std::size_t edges) {
+  Structure s(schema, edges + 1);
+  for (Element a = 0; a < edges; ++a) s.AddFact(0, {a, a + 1});
+  return s;
+}
+
+/// Undirected path (both edge directions) with `edges` edges.
+Structure SymmetricPath(const std::shared_ptr<Schema>& schema,
+                        std::size_t edges) {
+  Structure s(schema, edges + 1);
+  for (Element a = 0; a < edges; ++a) {
+    s.AddFact(0, {a, a + 1});
+    s.AddFact(0, {a + 1, a});
+  }
+  return s;
+}
+
+/// n · (n-1) · ... · (n-k+1): homs of the undirected clique K_k into K_n
+/// (the chromatic polynomial of K_k).
+BigInt FallingFactorial(std::int64_t n, std::int64_t k) {
+  BigInt product(1);
+  for (std::int64_t i = 0; i < k; ++i) product *= BigInt(n - i);
+  return product;
+}
+
+/// n · (n-1)^k: homs of a k-edge path, directed or undirected, into K_n.
+BigInt PathIntoClique(std::int64_t n, std::uint64_t k) {
+  return BigInt(n) * BigInt::Pow(BigInt(n - 1), k);
+}
+
+/// n choose k: homs of a (k-1)-edge directed path, or of the transitive
+/// tournament on k elements, into the one on n (strictly monotone maps).
+BigInt Binomial(std::int64_t n, std::int64_t k) {
+  if (k > n) return BigInt(0);
+  BigInt numerator = FallingFactorial(n, k);
+  BigInt denominator = FallingFactorial(k, k);
+  return numerator / denominator;
+}
+
+/// CountHoms against a closed form, and against the brute-force reference
+/// when its |dom(to)|^|dom(from)| assignments are few enough.
+void ExpectClosedForm(const Structure& from, const Structure& to,
+                      const BigInt& expected) {
+  EXPECT_EQ(CountHoms(from, to), expected)
+      << "from=" << from.ToString() << " |dom(to)|=" << to.DomainSize();
+  double assignments = 1;
+  for (std::size_t i = 0; i < from.DomainSize(); ++i) {
+    assignments *= static_cast<double>(to.DomainSize());
+  }
+  if (assignments <= 1 << 16) {
+    EXPECT_EQ(CountHomsNaive(from, to), expected)
+        << "from=" << from.ToString() << " |dom(to)|=" << to.DomainSize();
+  }
+}
+
+TEST(HomDiffTest, DpKeyWidthsZeroToFour) {
+  // Key widths 0 (a lone edge: both ends die at once), 1 (directed
+  // paths), 2 (undirected paths), 3 (the triangle) and 4 (K_4), all in
+  // direct mode, each also checked against the brute-force reference.
+  // A clique's symmetry would hide a count credited to the wrong key, so
+  // the same widths also run into transitive tournaments.
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  for (std::int64_t n = 1; n <= 6; ++n) {
+    const std::size_t size = static_cast<std::size_t>(n);
+    const Structure clique = Clique(schema, size);
+    ExpectClosedForm(DirectedPath(schema, 1), clique, PathIntoClique(n, 1));
+    ExpectClosedForm(DirectedPath(schema, 4), clique, PathIntoClique(n, 4));
+    ExpectClosedForm(SymmetricPath(schema, 3), clique, PathIntoClique(n, 3));
+    ExpectClosedForm(Clique(schema, 3), clique, FallingFactorial(n, 3));
+    ExpectClosedForm(Clique(schema, 4), clique, FallingFactorial(n, 4));
+    const Structure tournament = Tournament(schema, size);
+    ExpectClosedForm(DirectedPath(schema, 1), tournament, Binomial(n, 2));
+    ExpectClosedForm(DirectedPath(schema, 4), tournament, Binomial(n, 5));
+    ExpectClosedForm(Tournament(schema, 3), tournament, Binomial(n, 3));
+    ExpectClosedForm(Tournament(schema, 4), tournament, Binomial(n, 4));
+    ExpectClosedForm(SymmetricPath(schema, 1), tournament, BigInt(0));
+  }
+}
+
+TEST(HomDiffTest, DpTableOnBothSidesOfTheDirectIndexThreshold) {
+  // A DP table indexes slots directly when |dom(to)|^width <= 2^16 cells
+  // and hashes otherwise. Each pair of targets puts one key width on
+  // either side of that boundary.
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  // Width 2: 256^2 = 65536 cells (direct), 257^2 = 66049 (hash), for the
+  // undirected edge, whose ends both stay live after its first atom.
+  for (std::int64_t n : {256, 257}) {
+    const Structure to = Clique(schema, static_cast<std::size_t>(n));
+    ExpectClosedForm(SymmetricPath(schema, 1), to, PathIntoClique(n, 1));
+  }
+  // Width 3: 40^3 = 64000 cells (direct), 41^3 = 68921 (hash). The
+  // triangle's plan runs widths 2, 2, 3, 3, 2, 0, so into K_41 its two
+  // tables switch direct -> hash -> direct between steps.
+  for (std::int64_t n : {40, 41}) {
+    const Structure to = Clique(schema, static_cast<std::size_t>(n));
+    ExpectClosedForm(Clique(schema, 3), to, FallingFactorial(n, 3));
+  }
+  // Width 4: 16^4 = 65536 cells (direct), 17^4 = 83521 (hash).
+  for (std::int64_t n : {16, 17}) {
+    const Structure to = Clique(schema, static_cast<std::size_t>(n));
+    ExpectClosedForm(Clique(schema, 4), to, FallingFactorial(n, 4));
+  }
+}
+
+TEST(HomDiffTest, ZeroElementTarget) {
+  // The width-0 table has one cell (0^0 = 1) and every wider key space
+  // has none.
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  const RelationId h = schema->AddRelation("H", 0);
+  const Structure empty_target(schema, 0);
+  Structure with_h(schema, 0);
+  with_h.AddFact(h, {});
+  Structure nullary_source(schema, 0);
+  nullary_source.AddFact(h, {});
+  for (const Structure& to : {empty_target, with_h}) {
+    ExpectClosedForm(Structure(schema, 0), to, BigInt(1));
+    ExpectClosedForm(Structure(schema, 2), to, BigInt(0));
+    ExpectClosedForm(DirectedPath(schema, 1), to, BigInt(0));
+    ExpectClosedForm(SymmetricPath(schema, 2), to, BigInt(0));
+    ExpectClosedForm(nullary_source, to, BigInt(to.NumFacts()));
+  }
 }
 
 TEST(HomDiffTest, EnumerationVisitCountMatchesCount) {
