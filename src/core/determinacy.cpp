@@ -23,15 +23,15 @@ void CheckQueryUsable(const ConjunctiveQuery& query, const Schema& schema) {
     throw std::invalid_argument("AnalyzeInstance: query '" + query.name() +
                                 "' uses a different schema");
   }
-  for (const QueryAtom& atom : query.atoms()) {
-    if (atom.args.empty()) {
+  query.ForEachAtom([&](const AtomView& atom) {
+    if (atom.arity == 0) {
       throw std::invalid_argument(
           "AnalyzeInstance: query '" + query.name() + "' uses nullary atom " +
           query.schema().Name(atom.relation) +
           "(); the Theorem-3 procedure requires atoms of arity >= 1 "
           "(see README.md, \"Scope and design choices\")");
     }
-  }
+  });
 }
 
 /// A cleared-denominator exponent as sign + checked uint64 magnitude.

@@ -16,17 +16,18 @@ ConjunctiveQuery BuildPhiConjunct(const std::shared_ptr<Schema>& schema,
                                   const Monomial& monomial, std::string name,
                                   std::optional<RelationId> marker) {
   std::vector<std::string> var_names;
-  std::vector<QueryAtom> atoms;
+  std::vector<RelationId> relations;
+  std::vector<VarId> args;
   for (std::size_t x = 0; x < monomial.exponents.size(); ++x) {
     for (std::uint32_t j = 0; j < monomial.exponents[x]; ++j) {
-      VarId var = static_cast<VarId>(var_names.size());
+      args.push_back(static_cast<VarId>(var_names.size()));
       var_names.push_back("y_" + std::to_string(x) + "_" + std::to_string(j));
-      atoms.push_back(QueryAtom{x_relations[x], {var}});
+      relations.push_back(x_relations[x]);
     }
   }
-  if (marker.has_value()) atoms.push_back(QueryAtom{*marker, {}});
+  if (marker.has_value()) relations.push_back(*marker);
   return ConjunctiveQuery(std::move(name), schema, std::move(var_names), 0,
-                          std::move(atoms));
+                          std::move(relations), std::move(args));
 }
 
 }  // namespace
@@ -42,10 +43,8 @@ Theorem2Reduction ReduceToDeterminacy(const DiophantineInstance& instance) {
   }
 
   // q = H.
-  ConjunctiveQuery just_h("q", red.schema, {}, 0,
-                          {QueryAtom{red.h_relation, {}}});
-  ConjunctiveQuery just_c("c", red.schema, {}, 0,
-                          {QueryAtom{red.c_relation, {}}});
+  ConjunctiveQuery just_h("q", red.schema, {}, 0, {red.h_relation}, {});
+  ConjunctiveQuery just_c("c", red.schema, {}, 0, {red.c_relation}, {});
   red.query = UnionQuery("q", {just_h});
 
   // V1 = H ∨ C.
@@ -55,7 +54,7 @@ Theorem2Reduction ReduceToDeterminacy(const DiophantineInstance& instance) {
   // V_xi = ∃y X_i(y).
   for (std::size_t x = 0; x < instance.NumUnknowns(); ++x) {
     ConjunctiveQuery vx("Vx" + std::to_string(x), red.schema, {"y"}, 0,
-                        {QueryAtom{red.x_relations[x], {0}}});
+                        {red.x_relations[x]}, {0});
     views.emplace_back(vx.name(), std::vector<ConjunctiveQuery>{vx});
   }
 

@@ -60,12 +60,14 @@ ConjunctiveQuery PathQuery::ToConjunctiveQuery(std::string name) const {
     if (position == n) return 1;
     return static_cast<VarId>(position + 1);
   };
-  std::vector<QueryAtom> atoms;
+  std::vector<VarId> args;
+  args.reserve(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    atoms.push_back(QueryAtom{word_[i], {var_at(i), var_at(i + 1)}});
+    args.push_back(var_at(i));
+    args.push_back(var_at(i + 1));
   }
   return ConjunctiveQuery(std::move(name), schema_, std::move(var_names), 2,
-                          std::move(atoms));
+                          word_, std::move(args));
 }
 
 std::string PathQuery::ToString() const {

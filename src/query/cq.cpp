@@ -7,35 +7,67 @@
 
 namespace bagdet {
 
+namespace {
+
+/// Checks a query's flat atoms and freezes them into its body: variable v
+/// becomes element v, atom i becomes a fact.
+Structure FreezeBody(const std::shared_ptr<const Schema>& schema,
+                     std::size_t num_vars, std::size_t num_free,
+                     const std::vector<RelationId>& relations,
+                     const std::vector<VarId>& args) {
+  if (num_free > num_vars) {
+    throw std::invalid_argument("ConjunctiveQuery: more free vars than vars");
+  }
+  std::vector<std::uint32_t> per_relation(schema->NumRelations(), 0);
+  std::size_t next = 0;
+  for (RelationId relation : relations) {
+    const std::size_t arity = schema->Arity(relation);
+    if (arity > args.size() - next) {
+      throw std::invalid_argument("ConjunctiveQuery: atom arity mismatch in " +
+                                  schema->Name(relation));
+    }
+    for (std::size_t i = next; i < next + arity; ++i) {
+      if (args[i] >= num_vars) {
+        throw std::invalid_argument("ConjunctiveQuery: atom uses unknown var");
+      }
+    }
+    ++per_relation[relation];
+    next += arity;
+  }
+  if (next != args.size()) {
+    throw std::invalid_argument(
+        "ConjunctiveQuery: more atom arguments than the atoms' arities");
+  }
+  std::vector<std::vector<Tuple>> facts(per_relation.size());
+  for (RelationId r = 0; r < facts.size(); ++r) {
+    facts[r].reserve(per_relation[r]);
+  }
+  next = 0;
+  for (RelationId relation : relations) {
+    const std::size_t arity = schema->Arity(relation);
+    facts[relation].emplace_back(args.begin() + next,
+                                 args.begin() + next + arity);
+    next += arity;
+  }
+  return Structure::FromFacts(schema, num_vars, std::move(facts));
+}
+
+}  // namespace
+
 ConjunctiveQuery::ConjunctiveQuery(std::string name,
                                    std::shared_ptr<const Schema> schema,
                                    std::vector<std::string> var_names,
                                    std::size_t num_free,
-                                   std::vector<QueryAtom> atoms)
+                                   std::vector<RelationId> atom_relations,
+                                   std::vector<VarId> atom_args)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       var_names_(std::move(var_names)),
       num_free_(num_free),
-      atoms_(std::move(atoms)) {
-  if (num_free_ > var_names_.size()) {
-    throw std::invalid_argument("ConjunctiveQuery: more free vars than vars");
-  }
-  frozen_ = Structure(schema_, var_names_.size());
-  for (const QueryAtom& atom : atoms_) {
-    if (atom.args.size() != schema_->Arity(atom.relation)) {
-      throw std::invalid_argument("ConjunctiveQuery: atom arity mismatch in " +
-                                  schema_->Name(atom.relation));
-    }
-    Tuple tuple(atom.args.size());
-    for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      if (atom.args[i] >= var_names_.size()) {
-        throw std::invalid_argument("ConjunctiveQuery: atom uses unknown var");
-      }
-      tuple[i] = atom.args[i];
-    }
-    frozen_.AddFact(atom.relation, std::move(tuple));
-  }
-}
+      atom_relations_(std::move(atom_relations)),
+      atom_args_(std::move(atom_args)),
+      frozen_(FreezeBody(schema_, var_names_.size(), num_free_,
+                         atom_relations_, atom_args_)) {}
 
 AnswerBag ConjunctiveQuery::Evaluate(const Structure& data) const {
   AnswerBag answers;
@@ -60,16 +92,18 @@ std::string ConjunctiveQuery::ToString() const {
     os << var_names_[i];
   }
   os << ") :- ";
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << schema_->Name(atoms_[i].relation) << '(';
-    for (std::size_t j = 0; j < atoms_[i].args.size(); ++j) {
+  bool first = true;
+  ForEachAtom([&](const AtomView& atom) {
+    if (!first) os << ", ";
+    first = false;
+    os << schema_->Name(atom.relation) << '(';
+    for (std::size_t j = 0; j < atom.arity; ++j) {
       if (j != 0) os << ',';
-      os << var_names_[atoms_[i].args[j]];
+      os << var_names_[atom.args[j]];
     }
     os << ')';
-  }
-  if (atoms_.empty()) os << "true";
+  });
+  if (first) os << "true";
   return os.str();
 }
 
@@ -118,17 +152,18 @@ ConjunctiveQuery BooleanQueryFromStructure(std::string name,
   for (std::size_t e = 0; e < body.DomainSize(); ++e) {
     var_names.push_back("z" + std::to_string(e));
   }
-  std::vector<QueryAtom> atoms;
+  std::vector<RelationId> relations;
+  std::vector<VarId> args;
+  relations.reserve(body.NumFacts());
   for (RelationId r = 0; r < body.schema().NumRelations(); ++r) {
     for (const Tuple& t : body.Facts(r)) {
-      QueryAtom atom;
-      atom.relation = r;
-      atom.args.assign(t.begin(), t.end());
-      atoms.push_back(std::move(atom));
+      relations.push_back(r);
+      args.insert(args.end(), t.begin(), t.end());
     }
   }
   return ConjunctiveQuery(std::move(name), body.schema_ptr(),
-                          std::move(var_names), 0, std::move(atoms));
+                          std::move(var_names), 0, std::move(relations),
+                          std::move(args));
 }
 
 bool IsContainedSetSemantics(const ConjunctiveQuery& q,

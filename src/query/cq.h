@@ -17,10 +17,12 @@ namespace bagdet {
 /// Index of a variable within a query.
 using VarId = std::uint32_t;
 
-/// One atom R(x̄) of a query body; `args` are variable ids.
-struct QueryAtom {
+/// One atom R(x̄) of a query body, viewed in its query's flat arrays:
+/// `args` points at `arity` variable ids.
+struct AtomView {
   RelationId relation;
-  std::vector<VarId> args;
+  const VarId* args;
+  std::size_t arity;
 };
 
 /// The bag of answers of a query over a structure: tuple ↦ multiplicity.
@@ -33,17 +35,33 @@ class ConjunctiveQuery {
  public:
   ConjunctiveQuery() = default;
 
-  /// Builds a query. `var_names` lists all variables (free first); every
-  /// atom argument must index into it. Head-only variables are allowed in
-  /// the paper's definition, but every variable must appear in `var_names`.
+  /// Builds a query from its atoms in flat form: atom i applies
+  /// `atom_relations[i]` to the next Arity(atom_relations[i]) ids of
+  /// `atom_args`, so the arities must add up to atom_args.size().
+  /// `var_names` lists all variables (free first); every atom argument must
+  /// index into it. Head-only variables are allowed in the paper's
+  /// definition, but every variable must appear in `var_names`.
   ConjunctiveQuery(std::string name, std::shared_ptr<const Schema> schema,
                    std::vector<std::string> var_names, std::size_t num_free,
-                   std::vector<QueryAtom> atoms);
+                   std::vector<RelationId> atom_relations,
+                   std::vector<VarId> atom_args);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return *schema_; }
   const std::shared_ptr<const Schema>& schema_ptr() const { return schema_; }
-  const std::vector<QueryAtom>& atoms() const { return atoms_; }
+  std::size_t NumAtoms() const { return atom_relations_.size(); }
+
+  /// Calls `fn(AtomView)` for each atom, in order (duplicates included).
+  template <class Fn>
+  void ForEachAtom(Fn&& fn) const {
+    const VarId* args = atom_args_.data();
+    for (RelationId relation : atom_relations_) {
+      const std::size_t arity = schema_->Arity(relation);
+      fn(AtomView{relation, args, arity});
+      args += arity;
+    }
+  }
+
   std::size_t NumVars() const { return var_names_.size(); }
   std::size_t NumFreeVars() const { return num_free_; }
   const std::string& VarName(VarId v) const { return var_names_.at(v); }
@@ -74,7 +92,8 @@ class ConjunctiveQuery {
   std::shared_ptr<const Schema> schema_;
   std::vector<std::string> var_names_;
   std::size_t num_free_ = 0;
-  std::vector<QueryAtom> atoms_;
+  std::vector<RelationId> atom_relations_;
+  std::vector<VarId> atom_args_;
   Structure frozen_;
 };
 

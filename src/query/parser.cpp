@@ -1,23 +1,30 @@
 #include "query/parser.h"
 
-#include <cctype>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace bagdet {
 
 namespace {
 
-/// Minimal hand-rolled tokenizer over one rule line.
+// Character classes as explicit ASCII tests: std::isspace and std::isalnum
+// under the C locale.
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool IsNameChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == '\'';
+}
+
+/// Minimal hand-rolled tokenizer over one rule line. Names are views into
+/// the line.
 class Cursor {
  public:
   explicit Cursor(std::string_view text) : text_(text) {}
 
   void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
   bool AtEnd() {
@@ -43,29 +50,16 @@ class Cursor {
     }
   }
 
-  std::string ExpectName() {
+  std::string_view ExpectName() {
     SkipSpace();
     std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '\'') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
+    while (pos_ < text_.size() && IsNameChar(text_[pos_])) ++pos_;
     if (start == pos_) {
       throw std::invalid_argument("parse error: expected a name at position " +
                                   std::to_string(pos_) + " in: " +
                                   std::string(text_));
     }
-    return std::string(text_.substr(start, pos_ - start));
-  }
-
-  bool PeekChar(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
+    return text_.substr(start, pos_ - start);
   }
 
  private:
@@ -76,20 +70,23 @@ class Cursor {
 }  // namespace
 
 ConjunctiveQuery QueryParser::ParseRule(std::string_view line) {
-  Cursor cursor(line);
-  std::string head_name = cursor.ExpectName();
-
-  std::vector<std::string> var_names;
-  std::unordered_map<std::string, VarId> var_ids;
-  auto intern_var = [&](const std::string& name) {
-    auto it = var_ids.find(name);
-    if (it != var_ids.end()) return it->second;
-    VarId id = static_cast<VarId>(var_names.size());
-    var_names.push_back(name);
-    var_ids.emplace(name, id);
+  var_names_.clear();
+  var_ids_.Clear();
+  relations_.clear();
+  args_.clear();
+  const auto name_of = [this](VarId v) { return var_names_[v]; };
+  auto intern_var = [&](std::string_view name) {
+    VarId id = var_ids_.Find(name, name_of);
+    if (id == NameIndex::kAbsent) {
+      id = static_cast<VarId>(var_names_.size());
+      var_names_.push_back(name);
+      var_ids_.Insert(name, id, name_of);
+    }
     return id;
   };
 
+  Cursor cursor(line);
+  std::string_view head_name = cursor.ExpectName();
   std::size_t num_free = 0;
   if (cursor.TryConsume("(")) {
     if (!cursor.TryConsume(")")) {
@@ -98,33 +95,36 @@ ConjunctiveQuery QueryParser::ParseRule(std::string_view line) {
       } while (cursor.TryConsume(","));
       cursor.Expect(")");
     }
-    num_free = var_names.size();
+    num_free = var_names_.size();
   }
   cursor.Expect(":-");
 
-  std::vector<QueryAtom> atoms;
-  if (!cursor.TryConsume("true")) {
-    do {
-      std::string relation_name = cursor.ExpectName();
-      std::vector<VarId> args;
+  std::string_view relation_name = cursor.ExpectName();
+  if (relation_name != "true") {
+    while (true) {
       cursor.Expect("(");
+      const std::size_t first_arg = args_.size();
       if (!cursor.TryConsume(")")) {
         do {
-          args.push_back(intern_var(cursor.ExpectName()));
+          args_.push_back(intern_var(cursor.ExpectName()));
         } while (cursor.TryConsume(","));
         cursor.Expect(")");
       }
-      RelationId relation = schema_->AddRelation(relation_name, args.size());
-      atoms.push_back(QueryAtom{relation, std::move(args)});
-    } while (cursor.TryConsume(","));
+      relations_.push_back(
+          schema_->AddRelation(relation_name, args_.size() - first_arg));
+      if (!cursor.TryConsume(",")) break;
+      relation_name = cursor.ExpectName();
+    }
   }
   cursor.TryConsume(".");
   if (!cursor.AtEnd()) {
     throw std::invalid_argument("parse error: trailing input in: " +
                                 std::string(line));
   }
-  return ConjunctiveQuery(std::move(head_name), schema_, std::move(var_names),
-                          num_free, std::move(atoms));
+  return ConjunctiveQuery(
+      std::string(head_name), schema_,
+      std::vector<std::string>(var_names_.begin(), var_names_.end()), num_free,
+      relations_, args_);
 }
 
 std::vector<ConjunctiveQuery> QueryParser::ParseProgram(
@@ -139,7 +139,7 @@ std::vector<ConjunctiveQuery> QueryParser::ParseProgram(
     if (comment != std::string_view::npos) line = line.substr(0, comment);
     bool blank = true;
     for (char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
+      if (!IsSpace(c)) blank = false;
     }
     if (!blank) rules.push_back(ParseRule(line));
     start = end + 1;

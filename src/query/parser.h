@@ -2,11 +2,16 @@
 //
 // Grammar (one rule per line; '#' starts a comment):
 //
-//   rule    := head ":-" body
+//   rule    := head ":-" body "."?
 //   head    := NAME | NAME "(" vars? ")"
 //   body    := "true" | atom ("," atom)*
 //   atom    := NAME "(" vars? ")"
 //   vars    := NAME ("," NAME)*
+//   NAME    := [A-Za-z0-9_']+
+//
+// Whitespace (ASCII space, \t, \n, \v, \f, \r) may separate tokens. The body
+// "true" is the empty body only as a whole NAME token: `true_edge(x,y)` and
+// `trueR(x)` are atoms.
 //
 // Example:
 //   q()  :- P(u,x), R(x,y), S(y,z)
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "query/cq.h"
+#include "util/name_index.h"
 
 namespace bagdet {
 
@@ -49,6 +55,13 @@ class QueryParser {
 
  private:
   std::shared_ptr<Schema> schema_;
+  // Scratch reused across rules, so that a rule allocates only what its
+  // query keeps: the rule's variable names by VarId (views into its line),
+  // their index, and its atoms in flat form.
+  std::vector<std::string_view> var_names_;
+  NameIndex var_ids_;
+  std::vector<RelationId> relations_;
+  std::vector<VarId> args_;
 };
 
 }  // namespace bagdet

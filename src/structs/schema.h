@@ -12,8 +12,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "util/name_index.h"
 
 namespace bagdet {
 
@@ -27,20 +28,20 @@ class Schema {
 
   /// Adds a relation; returns its id. Throws std::invalid_argument when the
   /// name already exists with a different arity; re-adding with the same
-  /// arity returns the existing id.
-  RelationId AddRelation(std::string name, std::size_t arity) {
-    auto it = by_name_.find(name);
-    if (it != by_name_.end()) {
-      if (arities_[it->second] != arity) {
-        throw std::invalid_argument("Schema: relation '" + name +
+  /// arity returns the existing id and builds no string.
+  RelationId AddRelation(std::string_view name, std::size_t arity) {
+    RelationId id = by_name_.Find(name, NameOf{&names_});
+    if (id != NameIndex::kAbsent) {
+      if (arities_[id] != arity) {
+        throw std::invalid_argument("Schema: relation '" + std::string(name) +
                                     "' redeclared with different arity");
       }
-      return it->second;
+      return id;
     }
-    RelationId id = static_cast<RelationId>(names_.size());
-    by_name_.emplace(name, id);
-    names_.push_back(std::move(name));
+    id = static_cast<RelationId>(names_.size());
+    names_.emplace_back(name);
     arities_.push_back(arity);
+    by_name_.Insert(name, id, NameOf{&names_});
     return id;
   }
 
@@ -50,9 +51,9 @@ class Schema {
 
   /// Id of a named relation, if present.
   std::optional<RelationId> Find(std::string_view name) const {
-    auto it = by_name_.find(std::string(name));
-    if (it == by_name_.end()) return std::nullopt;
-    return it->second;
+    const RelationId id = by_name_.Find(name, NameOf{&names_});
+    if (id == NameIndex::kAbsent) return std::nullopt;
+    return id;
   }
 
   /// True iff every relation has the given arity.
@@ -76,9 +77,16 @@ class Schema {
   friend bool operator!=(const Schema& a, const Schema& b) { return !(a == b); }
 
  private:
+  /// The index keys relation ids, not views into `names_`: a short name's
+  /// characters move when `names_` grows.
+  struct NameOf {
+    const std::vector<std::string>* names;
+    std::string_view operator()(RelationId id) const { return (*names)[id]; }
+  };
+
   std::vector<std::string> names_;
   std::vector<std::size_t> arities_;
-  std::unordered_map<std::string, RelationId> by_name_;
+  NameIndex by_name_;
 };
 
 }  // namespace bagdet

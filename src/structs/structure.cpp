@@ -17,6 +17,34 @@ Structure::Structure(std::shared_ptr<const Schema> schema,
   facts_.resize(schema_->NumRelations());
 }
 
+Structure Structure::FromFacts(std::shared_ptr<const Schema> schema,
+                               std::size_t domain_size,
+                               std::vector<std::vector<Tuple>> facts) {
+  const std::size_t num_relations = schema->NumRelations();
+  for (RelationId r = 0; r < facts.size(); ++r) {
+    if (facts[r].empty()) continue;
+    if (r >= num_relations) {
+      throw std::invalid_argument("Structure: unknown relation id");
+    }
+    const std::size_t arity = schema->Arity(r);
+    for (const Tuple& t : facts[r]) {
+      if (t.size() != arity) {
+        throw std::invalid_argument("Structure: tuple arity mismatch for " +
+                                    schema->Name(r));
+      }
+      for (Element e : t) {
+        domain_size = std::max(domain_size, static_cast<std::size_t>(e) + 1);
+      }
+    }
+  }
+  facts.resize(num_relations);
+  for (std::vector<Tuple>& rows : facts) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  }
+  return Structure(std::move(schema), domain_size, std::move(facts));
+}
+
 void Structure::AddFact(RelationId relation, Tuple elements) {
   if (relation >= schema_->NumRelations()) {
     throw std::invalid_argument("Structure: unknown relation id");
@@ -202,8 +230,15 @@ std::string Structure::ToString() const {
 }
 
 bool operator==(const Structure& a, const Structure& b) {
-  return *a.schema_ == *b.schema_ && a.domain_size_ == b.domain_size_ &&
-         a.facts_ == b.facts_;
+  if (*a.schema_ != *b.schema_ || a.domain_size_ != b.domain_size_) {
+    return false;
+  }
+  // Through Facts(): a structure built before its schema grew holds no
+  // fact list for the newer relations.
+  for (RelationId r = 0; r < a.schema_->NumRelations(); ++r) {
+    if (a.Facts(r) != b.Facts(r)) return false;
+  }
+  return true;
 }
 
 std::uint64_t Structure::InvariantFingerprint() const {

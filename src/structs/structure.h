@@ -36,6 +36,15 @@ class Structure {
   explicit Structure(std::shared_ptr<const Schema> schema,
                      std::size_t domain_size = 0);
 
+  /// The structure with `facts[r]` as relation r's facts, given in any
+  /// order and with duplicates, over a domain of at least `domain_size`
+  /// elements. Equal to AddFact-ing each fact in turn, relation by relation,
+  /// and throws the same errors at the same fact; but it sorts and dedups
+  /// each relation once instead of inserting fact by fact.
+  static Structure FromFacts(std::shared_ptr<const Schema> schema,
+                             std::size_t domain_size,
+                             std::vector<std::vector<Tuple>> facts);
+
   const Schema& schema() const { return *schema_; }
   const std::shared_ptr<const Schema>& schema_ptr() const { return schema_; }
 
@@ -137,6 +146,12 @@ class Structure {
 
  private:
   using ComponentList = std::vector<Structure>;
+
+  Structure(std::shared_ptr<const Schema> schema, std::size_t domain_size,
+            std::vector<std::vector<Tuple>> facts)
+      : schema_(std::move(schema)),
+        domain_size_(domain_size),
+        facts_(std::move(facts)) {}
 
   void ResetCaches() {
     index_.reset();

@@ -22,7 +22,7 @@ TEST(PathCqBridgeTest, ToConjunctiveQueryShape) {
   ConjunctiveQuery cq = q.ToConjunctiveQuery("route");
   EXPECT_EQ(cq.NumFreeVars(), 2u);
   EXPECT_EQ(cq.NumVars(), 4u);  // x, y and two internal positions.
-  EXPECT_EQ(cq.atoms().size(), 3u);
+  EXPECT_EQ(cq.NumAtoms(), 3u);
   EXPECT_EQ(cq.name(), "route");
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "structs/canonical.h"
 #include "structs/generator.h"
 #include "util/rng.h"
@@ -43,6 +47,32 @@ TEST(SchemaTest, RedeclareSameArityIsIdempotent) {
   EXPECT_THROW(schema.AddRelation("E", 3), std::invalid_argument);
 }
 
+TEST(SchemaTest, LookupSurvivesGrowthOfShortNames) {
+  // Short names live inside their std::string, so they move whenever the
+  // name list reallocates; lookups must not hold views into them.
+  Schema schema;
+  for (std::size_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(schema.AddRelation("R" + std::to_string(i), i % 4), i);
+  }
+  for (std::size_t i = 0; i < 200; ++i) {
+    const std::string name = "R" + std::to_string(i);
+    EXPECT_EQ(schema.Find(name), std::optional<RelationId>(i));
+    EXPECT_EQ(schema.AddRelation(name, i % 4), i);
+  }
+  // A view that is not a whole string: "R1" inside "R12".
+  EXPECT_EQ(schema.Find(std::string_view("R12").substr(0, 2)),
+            std::optional<RelationId>(1));
+  EXPECT_FALSE(schema.Find("R200").has_value());
+  EXPECT_FALSE(schema.Find("").has_value());
+  try {
+    schema.AddRelation(std::string_view("R7x").substr(0, 2), 0);
+    ADD_FAILURE() << "redeclaration accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "Schema: relation 'R7' redeclared with different arity");
+  }
+}
+
 TEST(StructureTest, AddFactDeduplicatesAndSorts) {
   auto schema = GraphSchema();
   Structure s(schema);
@@ -55,6 +85,78 @@ TEST(StructureTest, AddFactDeduplicatesAndSorts) {
   EXPECT_EQ(s.DomainSize(), 2u);
   EXPECT_TRUE(s.HasFact(0, {0, 1}));
   EXPECT_FALSE(s.HasFact(0, {0, 0}));
+}
+
+TEST(StructureTest, EqualityIgnoresRelationsAddedAfterConstruction) {
+  auto schema = GraphSchema();
+  Structure before(schema, 2);
+  before.AddFact(0, {0, 1});
+  schema->AddRelation("P", 1);
+  Structure after(schema, 2);
+  after.AddFact(0, {0, 1});
+  EXPECT_EQ(before, after);
+  after.AddFact(1, {0});
+  EXPECT_NE(before, after);
+}
+
+/// Builds a structure by AddFact, one fact at a time in relation order, or
+/// by FromFacts, and reports the result or the error text.
+std::pair<Structure, std::string> Build(bool batch,
+                                        const std::shared_ptr<Schema>& schema,
+                                        std::size_t domain,
+                                        const std::vector<std::vector<Tuple>>& facts) {
+  try {
+    if (batch) return {Structure::FromFacts(schema, domain, facts), ""};
+    Structure s(schema, domain);
+    for (RelationId r = 0; r < facts.size(); ++r) {
+      for (const Tuple& t : facts[r]) s.AddFact(r, t);
+    }
+    return {s, ""};
+  } catch (const std::invalid_argument& e) {
+    return {Structure(), e.what()};
+  }
+}
+
+TEST(FromFactsTest, MatchesAddFactOneAtATime) {
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  schema->AddRelation("H", 0);
+  schema->AddRelation("P", 1);
+  schema->AddRelation("T", 3);
+  Rng rng(0xfac75);
+  int errors = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::size_t domain = rng.Below(4);  // 0 is the empty domain
+    // Now and then one list past the schema: an unknown relation id.
+    std::vector<std::vector<Tuple>> facts(schema->NumRelations() +
+                                          (rng.Below(10) == 0 ? 1 : 0));
+    for (RelationId r = 0; r < facts.size(); ++r) {
+      const std::size_t count = rng.Below(7);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!facts[r].empty() && rng.Below(3) == 0) {
+          facts[r].push_back(facts[r][rng.Below(facts[r].size())]);
+          continue;
+        }
+        std::size_t arity =
+            r < schema->NumRelations() ? schema->Arity(r) : 1;
+        if (rng.Below(40) == 0) arity += 1;  // an arity mismatch
+        Tuple t(arity);
+        for (Element& e : t) e = static_cast<Element>(rng.Below(domain + 3));
+        facts[r].push_back(std::move(t));
+      }
+    }
+    const auto [want, want_error] = Build(false, schema, domain, facts);
+    const auto [got, got_error] = Build(true, schema, domain, facts);
+    EXPECT_EQ(got_error, want_error);
+    if (want_error.empty()) {
+      EXPECT_EQ(got, want);
+    } else {
+      ++errors;
+    }
+  }
+  // Both outcomes occur.
+  EXPECT_GT(errors, 50);
+  EXPECT_LT(errors, 1000);
 }
 
 TEST(StructureTest, ArityMismatchThrows) {
