@@ -13,6 +13,7 @@
 #include "hom/hom.h"
 #include "linalg/gauss.h"
 #include "query/cq.h"
+#include "structs/canonical.h"
 #include "structs/generator.h"
 
 namespace bagdet {
@@ -32,7 +33,10 @@ std::pair<Structure, Structure> FindSingularPair() {
   }
   for (const Structure& w1 : all) {
     for (const Structure& w2 : all) {
-      if (IsIsomorphic(w1, w2) || CountHoms(w2, w1).IsZero()) continue;
+      if (CanonicalKeyOf(w1) == CanonicalKeyOf(w2) ||
+          CountHoms(w2, w1).IsZero()) {
+        continue;
+      }
       BigInt h11 = CountHoms(w1, w1), h12 = CountHoms(w1, w2);
       BigInt h21 = CountHoms(w2, w1), h22 = CountHoms(w2, w2);
       if (h11 * h22 == h12 * h21) return {w1, w2};

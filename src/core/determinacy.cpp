@@ -100,8 +100,8 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
   }
 
   // Definition 27: W = components of Σ_{v ∈ V ∪ {q}} v up to isomorphism.
-  // Canonical-form interning replaces the seed path's pairwise IsIsomorphic
-  // scan: a component is known iff its pool ref already has a basis index.
+  // Canonical-form interning: a component is known iff its pool ref
+  // already has a basis index.
   // ComponentRefs canonicalizes each body here, on the thread that owns the
   // analysis, and memoizes its decomposition; views that failed the
   // containment test above never pay for a canonical form.

@@ -59,7 +59,7 @@ struct InstanceAnalysis {
   std::shared_ptr<StructurePool> pool;
 
   /// Memoized hom counter over `pool`, shared by BuildGoodBasis,
-  /// FindDistinguisher and CheckWitnessOnStructure.
+  /// SearchDistinguisher and CheckWitnessOnStructure.
   std::shared_ptr<HomCache> hom_cache;
 
   /// Pool refs of `basis_queries`, index-aligned.

@@ -44,20 +44,21 @@ Structure InducedSubstructure(const Structure& s, std::uint64_t mask) {
 
 namespace {
 
+/// Sweep and random candidates with at most this many domain elements have
+/// their counts cached: small candidates repeat across the pairwise Step-1
+/// loop of BuildGoodBasis and amortize their canonical labeling, while a
+/// large one-shot candidate (automorphism-sparse inputs distinguishing late
+/// in the sweep) would pay labeling plus permanent pool retention for a
+/// count that is never reused, so it is counted transiently.
+constexpr std::size_t kMaxCachedCandidateDomain = 10;
+
+/// True iff `candidate` separates the counts of a and b. Tier-0
+/// candidates (the inputs themselves) pass `cached = true`: the
+/// isomorphism pre-check interned them already.
 bool Distinguishes(const Structure& a, const Structure& b,
-                   const Structure& candidate,
-                   const DistinguisherOptions& options,
-                   bool candidate_already_interned = false) {
-  // Sweep candidates above the interning threshold bypass the cache
-  // entirely (transient counts, no canonicalization, no pool retention) —
-  // see DistinguisherOptions::max_cached_candidate_domain. Tier-0
-  // candidates (the inputs themselves) are exempt: the isomorphism
-  // pre-check interned them already, so caching their counts is pure win.
-  HomCache* cache = options.hom_cache;
-  if (cache != nullptr &&
-      (candidate_already_interned ||
-       candidate.DomainSize() <= options.max_cached_candidate_domain)) {
-    return cache->Count(a, candidate) != cache->Count(b, candidate);
+                   const Structure& candidate, HomCache& cache, bool cached) {
+  if (cached || candidate.DomainSize() <= kMaxCachedCandidateDomain) {
+    return cache.Count(a, candidate) != cache.Count(b, candidate);
   }
   return CountHoms(a, candidate) != CountHoms(b, candidate);
 }
@@ -66,18 +67,17 @@ bool Distinguishes(const Structure& a, const Structure& b,
 
 DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
                                         const DistinguisherOptions& options) {
-  HomCache* cache = options.hom_cache;
-  if (cache != nullptr
-          ? cache->pool().Intern(a) == cache->pool().Intern(b)
-          : IsIsomorphic(a, b)) {
+  std::optional<HomCache> private_cache;
+  HomCache& cache = options.hom_cache != nullptr ? *options.hom_cache
+                                                 : private_cache.emplace();
+  if (cache.pool().Intern(a) == cache.pool().Intern(b)) {
     return {DistinguisherOutcome::kIsomorphic, std::nullopt};
   }
   // Tier 0: the structures themselves (frequent cheap winners).
-  const bool interned = cache != nullptr;
-  if (Distinguishes(a, b, a, options, interned)) {
+  if (Distinguishes(a, b, a, cache, true)) {
     return {DistinguisherOutcome::kFound, a};
   }
-  if (Distinguishes(a, b, b, options, interned)) {
+  if (Distinguishes(a, b, b, cache, true)) {
     return {DistinguisherOutcome::kFound, b};
   }
   // Tier 1: the complete induced-substructure family (see header). The
@@ -91,7 +91,7 @@ DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
     for (std::uint64_t mask = 0; mask < limit; ++mask) {
       ExecCheckPoint("distinguisher.sweep");
       Structure candidate = InducedSubstructure(*side, mask);
-      if (Distinguishes(a, b, candidate, options)) {
+      if (Distinguishes(a, b, candidate, cache, false)) {
         return {DistinguisherOutcome::kFound, std::move(candidate)};
       }
     }
@@ -111,23 +111,11 @@ DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
     ExecCheckPoint("distinguisher.sweep");
     std::size_t domain = 1 + rng.Below(options.max_random_domain);
     Structure candidate = RandomStructure(a.schema_ptr(), domain, &rng);
-    if (Distinguishes(a, b, candidate, options)) {
+    if (Distinguishes(a, b, candidate, cache, false)) {
       return {DistinguisherOutcome::kFound, std::move(candidate)};
     }
   }
   return {DistinguisherOutcome::kBoundsExhausted, std::nullopt};
-}
-
-std::optional<Structure> FindDistinguisher(const Structure& a,
-                                           const Structure& b,
-                                           const DistinguisherOptions& options) {
-  DistinguisherSearch search = SearchDistinguisher(a, b, options);
-  if (search.outcome == DistinguisherOutcome::kBoundsExhausted) {
-    throw std::runtime_error(
-        "FindDistinguisher: inputs exceed max_subset_domain and random search "
-        "failed; raise DistinguisherOptions::max_subset_domain");
-  }
-  return std::move(search.distinguisher);
 }
 
 }  // namespace bagdet

@@ -39,20 +39,12 @@ struct DistinguisherOptions {
   std::size_t max_random_domain = 4;
   /// RNG seed for the fallback.
   std::uint64_t seed = 17;
-  /// Optional memoized hom counter (hom/hom_cache.h). When set, the
-  /// isomorphism pre-check uses canonical-key interning and every candidate
-  /// count is cached — candidates repeat heavily across the pairwise Step-1
-  /// loop of BuildGoodBasis. Not owned; must outlive the search.
+  /// Memoized hom counter (hom/hom_cache.h) shared across searches:
+  /// candidates repeat heavily across the pairwise Step-1 loop of
+  /// BuildGoodBasis. The isomorphism pre-check interns both inputs in its
+  /// pool, and small candidates' counts are cached. Null gives the search
+  /// a private cache for the call. Not owned; must outlive the search.
   HomCache* hom_cache = nullptr;
-  /// Candidate-size cutoff for routing sweep candidates through the cache:
-  /// only candidates with at most this many domain elements are
-  /// canonicalized and retained in the cache's StructurePool. Small
-  /// candidates repeat across pairs and amortize their labeling cost;
-  /// large one-shot candidates (automorphism-sparse inputs distinguishing
-  /// late in the sweep) would pay canonical labeling plus permanent pool
-  /// retention for a count that is never reused — they use transient
-  /// counts exactly like the seed path.
-  std::size_t max_cached_candidate_domain = 10;
 };
 
 /// How a distinguisher search ended.
@@ -78,15 +70,6 @@ struct DistinguisherSearch {
 /// pipeline's governed entry points rely on this: no well-formed input may
 /// escape AnalyzeInstance/DecideBagDeterminacy as a throw).
 DistinguisherSearch SearchDistinguisher(
-    const Structure& a, const Structure& b,
-    const DistinguisherOptions& options = DistinguisherOptions());
-
-/// Finds a structure H with |hom(a, H)| ≠ |hom(b, H)|.
-/// Returns std::nullopt when a ≅ b (no such H exists) — and, if the inputs
-/// exceed every search bound, throws std::runtime_error (cannot happen for
-/// query-sized components within max_subset_domain). Thin wrapper over
-/// SearchDistinguisher for callers that prefer the optional shape.
-std::optional<Structure> FindDistinguisher(
     const Structure& a, const Structure& b,
     const DistinguisherOptions& options = DistinguisherOptions());
 

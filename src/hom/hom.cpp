@@ -95,17 +95,15 @@ std::vector<Task> PlanTasks(const Structure& from) {
 }
 
 /// Shared backtracking engine. `visit` is called at every complete
-/// assignment; returning false aborts the search. `used` is non-null for
-/// injective matching. Candidate facts are narrowed through the target's
-/// positional index — the most selective bound position drives the scan,
-/// intersected with the runner-up bucket when the two are within 2× of
-/// each other.
+/// assignment; returning false aborts the search. Candidate facts are
+/// narrowed through the target's positional index — the most selective
+/// bound position drives the scan, intersected with the runner-up bucket
+/// when the two are within 2× of each other.
 class Matcher {
  public:
   Matcher(const Structure& from, const Structure& to,
-          const std::function<bool(const std::vector<Element>&)>& visit,
-          std::vector<bool>* used)
-      : to_(to), index_(to.Index()), visit_(visit), used_(used),
+          const std::function<bool(const std::vector<Element>&)>& visit)
+      : to_(to), index_(to.Index()), visit_(visit),
         assignment_(from.DomainSize(), kUnassigned),
         plan_(PlanTasks(from)),
         bound_stack_(plan_.size()) {}
@@ -122,12 +120,7 @@ class Matcher {
     for (std::size_t pos = 0; pos < fact.size() && ok; ++pos) {
       Element var = task.atom[pos];
       if (assignment_[var] == kUnassigned) {
-        if (used_ != nullptr && (*used_)[fact[pos]]) {
-          ok = false;
-          break;
-        }
         assignment_[var] = fact[pos];
-        if (used_ != nullptr) (*used_)[fact[pos]] = true;
         bound.push_back(var);
       } else if (assignment_[var] != fact[pos]) {
         ok = false;
@@ -135,10 +128,7 @@ class Matcher {
     }
     bool keep_going = true;
     if (ok) keep_going = RunFrom(task_index + 1);
-    for (auto rit = bound.rbegin(); rit != bound.rend(); ++rit) {
-      if (used_ != nullptr) (*used_)[assignment_[*rit]] = false;
-      assignment_[*rit] = kUnassigned;
-    }
+    for (Element var : bound) assignment_[var] = kUnassigned;
     return keep_going;
   }
 
@@ -152,11 +142,8 @@ class Matcher {
     const Task& task = plan_[task_index];
     if (!task.is_atom) {
       for (Element image = 0; image < to_.DomainSize(); ++image) {
-        if (used_ != nullptr && (*used_)[image]) continue;
         assignment_[task.element] = image;
-        if (used_ != nullptr) (*used_)[image] = true;
         bool keep_going = RunFrom(task_index + 1);
-        if (used_ != nullptr) (*used_)[image] = false;
         assignment_[task.element] = kUnassigned;
         if (!keep_going) return false;
       }
@@ -227,7 +214,6 @@ class Matcher {
   const Structure& to_;
   const StructureIndex& index_;
   const std::function<bool(const std::vector<Element>&)>& visit_;
-  std::vector<bool>* used_;
   std::vector<Element> assignment_;
   std::vector<Task> plan_;
   // Per-depth scratch of vars bound at that frame (avoids a heap
@@ -599,89 +585,11 @@ bool ExistsHom(const Structure& from, const Structure& to) {
           found = true;
           return false;  // Stop at the first hit.
         };
-    Matcher matcher(component, to, visit, nullptr);
+    Matcher matcher(component, to, visit);
     matcher.Run();
     if (!found) return false;
   }
   return true;
-}
-
-BigInt CountInjectiveHoms(const Structure& from, const Structure& to) {
-  if (from.DomainSize() > to.DomainSize()) return BigInt(0);
-  // Injectivity couples components, so match the whole structure at once.
-  BigInt count(0);
-  std::function<bool(const std::vector<Element>&)> visit =
-      [&count](const std::vector<Element>&) {
-        count += BigInt(1);
-        return true;
-      };
-  // Nullary facts must still be present.
-  for (RelationId r = 0; r < from.schema().NumRelations(); ++r) {
-    if (from.schema().Arity(r) == 0 && !from.Facts(r).empty() &&
-        to.Facts(r).empty()) {
-      return BigInt(0);
-    }
-  }
-  std::vector<bool> used(to.DomainSize(), false);
-  Matcher matcher(from, to, visit, &used);
-  matcher.Run();
-  return count;
-}
-
-BigInt CountHomsByEnumeration(const Structure& from, const Structure& to) {
-  BigInt count(0);
-  std::function<bool(const std::vector<Element>&)> visit =
-      [&count](const std::vector<Element>&) {
-        count += BigInt(1);
-        return true;
-      };
-  for (RelationId r = 0; r < from.schema().NumRelations(); ++r) {
-    if (from.schema().Arity(r) == 0 && !from.Facts(r).empty() &&
-        to.Facts(r).empty()) {
-      return BigInt(0);
-    }
-  }
-  Matcher matcher(from, to, visit, nullptr);
-  matcher.Run();
-  return count;
-}
-
-BigInt CountHomsNaive(const Structure& from, const Structure& to) {
-  const std::size_t n = from.DomainSize();
-  const std::size_t m = to.DomainSize();
-  // Check nullary facts up front.
-  for (RelationId r = 0; r < from.schema().NumRelations(); ++r) {
-    if (from.schema().Arity(r) == 0 && !from.Facts(r).empty() &&
-        to.Facts(r).empty()) {
-      return BigInt(0);
-    }
-  }
-  if (n == 0) return BigInt(1);
-  if (m == 0) return BigInt(0);
-  std::vector<Element> assignment(n, 0);
-  BigInt count(0);
-  for (;;) {
-    bool ok = true;
-    for (RelationId r = 0; r < from.schema().NumRelations() && ok; ++r) {
-      for (const Tuple& t : from.Facts(r)) {
-        Tuple image(t.size());
-        for (std::size_t i = 0; i < t.size(); ++i) image[i] = assignment[t[i]];
-        if (!to.HasFact(r, image)) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) count += BigInt(1);
-    // Advance the odometer.
-    std::size_t i = 0;
-    while (i < n && ++assignment[i] == m) {
-      assignment[i] = 0;
-      ++i;
-    }
-    if (i == n) break;
-  }
-  return count;
 }
 
 bool EnumerateHoms(
@@ -693,7 +601,7 @@ bool EnumerateHoms(
       return true;  // No homs; vacuously completed.
     }
   }
-  Matcher matcher(from, to, visit, nullptr);
+  Matcher matcher(from, to, visit);
   return matcher.Run();
 }
 

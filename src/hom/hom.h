@@ -5,8 +5,8 @@
 // hom-count matrix, and set-semantics containment is hom existence. The
 // engine decomposes A into connected components (Lemma 4(5)) and counts
 // one component per isomorphism class by greedy-order variable
-// elimination over the facts of D; existence, injective counts and
-// enumeration run a backtracking matcher.
+// elimination over the facts of D; existence and enumeration run a
+// backtracking matcher.
 
 #ifndef BAGDET_HOM_HOM_H_
 #define BAGDET_HOM_HOM_H_
@@ -29,18 +29,6 @@ BigInt CountHoms(const Structure& from, const Structure& to);
 
 /// True iff at least one homomorphism exists (early-exit search).
 bool ExistsHom(const Structure& from, const Structure& to);
-
-/// Number of injective homomorphisms from `from` to `to`.
-BigInt CountInjectiveHoms(const Structure& from, const Structure& to);
-
-/// Reference implementation that enumerates all |dom(to)|^|dom(from)|
-/// mappings. For cross-validation in tests only.
-BigInt CountHomsNaive(const Structure& from, const Structure& to);
-
-/// Counting by backtracking enumeration (one visit per homomorphism).
-/// Exponential in the *count* — a test reference that cross-validates the
-/// variable-elimination counter when counts are small.
-BigInt CountHomsByEnumeration(const Structure& from, const Structure& to);
 
 /// Enumerates homomorphisms, invoking `visit` with the image of every
 /// domain element of `from` (indexed by element). Stops early when `visit`

@@ -107,7 +107,7 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
     if (ref == kInvalidStructureRef) {
       Structure representative = s.Components()[i];
       // Seed the representative's canonical cache so later interns of the
-      // pool's own structures (FindDistinguisher, symbolic leaves) are
+      // pool's own structures (SearchDistinguisher, symbolic leaves) are
       // pure hash probes. A single component's whole-structure certificate
       // is exactly the component key's byte form.
       representative.CacheCanonicalData(

@@ -3,7 +3,7 @@
 // Every layer of the determinacy pipeline reduces to |hom(A, B)| for small
 // A (a basis query or a component of one) against a shared set of targets:
 // the radix-T scan and evaluation matrix of BuildGoodBasis, the candidate
-// sweep of FindDistinguisher, and witness checking all re-count identical
+// sweep of SearchDistinguisher, and witness checking all re-count identical
 // (isomorphism class, isomorphism class) pairs from scratch in the seed
 // path. HomCache interns both sides in a StructurePool (structs/pool.h)
 // and memoizes counts keyed by the (from-ref, to-ref) pair — sound because

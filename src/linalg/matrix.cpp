@@ -44,13 +44,6 @@ Rational Vec::Dot(const Vec& a, const Vec& b) {
   return sum;
 }
 
-Vec Vec::Hadamard(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("Vec: size mismatch");
-  Vec result(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) result[i] = a[i] * b[i];
-  return result;
-}
-
 bool Vec::IsNonNegative() const {
   for (const Rational& e : entries_) {
     if (e.IsNegative()) return false;

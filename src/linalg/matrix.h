@@ -49,9 +49,6 @@ class Vec {
   /// Dot product; sizes must match.
   static Rational Dot(const Vec& a, const Vec& b);
 
-  /// Hadamard (entrywise) product — the paper's `u ∘ v` (Definition 48(1)).
-  static Vec Hadamard(const Vec& a, const Vec& b);
-
   /// True iff every entry is >= 0.
   bool IsNonNegative() const;
 

@@ -147,19 +147,4 @@ std::vector<ConjunctiveQuery> QueryParser::ParseProgram(
   return rules;
 }
 
-std::vector<UnionQuery> QueryParser::ParseUcqProgram(std::string_view text) {
-  std::vector<ConjunctiveQuery> rules = ParseProgram(text);
-  std::vector<UnionQuery> result;
-  std::size_t i = 0;
-  while (i < rules.size()) {
-    std::size_t j = i + 1;
-    while (j < rules.size() && rules[j].name() == rules[i].name()) ++j;
-    std::string name = rules[i].name();
-    std::vector<ConjunctiveQuery> group(rules.begin() + i, rules.begin() + j);
-    result.emplace_back(std::move(name), std::move(group));
-    i = j;
-  }
-  return result;
-}
-
 }  // namespace bagdet

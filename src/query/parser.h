@@ -46,10 +46,6 @@ class QueryParser {
   /// '#' comments.
   std::vector<ConjunctiveQuery> ParseProgram(std::string_view text);
 
-  /// Parses a program and groups consecutive rules with equal head names
-  /// into UCQs (order preserved, duplicates kept).
-  std::vector<UnionQuery> ParseUcqProgram(std::string_view text);
-
   /// The schema accumulated so far (grows as rules are parsed).
   const std::shared_ptr<Schema>& schema() const { return schema_; }
 

@@ -1,10 +1,10 @@
 // bagdet: complete canonical forms for finite structures.
 //
-// Color refinement (structs/refinement.h) is a fast isomorphism invariant
-// but an incomplete one — it cannot tell a 6-cycle from two 3-cycles. The
+// Color refinement (structs/refinement.h) alone is an incomplete
+// isomorphism invariant — it cannot tell a 6-cycle from two 3-cycles. The
 // determinacy pipeline needs the *complete* equivalence "same key ⇔
 // isomorphic" so that component deduplication and hom-count memoization
-// become hash-map operations instead of pairwise IsIsomorphic backtracking.
+// become hash-map operations instead of pairwise backtracking.
 //
 // Canonical labeling runs per connected component by individualization–
 // refinement: starting from the stable RefineColors partition, repeatedly
@@ -29,8 +29,10 @@
 // need a canonical form.
 //
 // Worst-case exponential in the component size (as is any known canonical
-// labeling, and as IsIsomorphic already is); intended for the query-sized
-// structures the pipeline interns.
+// labeling); intended for the query-sized structures the pipeline interns.
+// This is the library's only isomorphism engine; the differential tests
+// check it against an independent backtracking oracle
+// (tests/reference/oracles.h).
 
 #ifndef BAGDET_STRUCTS_CANONICAL_H_
 #define BAGDET_STRUCTS_CANONICAL_H_
@@ -45,8 +47,8 @@
 namespace bagdet {
 
 /// Hashable canonical key. Two structures get equal keys iff they are
-/// isomorphic — a complete invariant, unlike InvariantFingerprint or the
-/// color-refinement histogram.
+/// isomorphic — a complete invariant, unlike the color-refinement
+/// partition.
 ///
 /// The schema digest is kept separate from the certificate bytes and is
 /// computed from the *current* schema contents whenever a key is
@@ -98,7 +100,7 @@ StructureCanonicalData ComputeCanonicalData(const Structure& s);
 
 /// The canonical key of `s`, assembled from the cached certificate and the
 /// current schema contents: CanonicalKeyOf(a) == CanonicalKeyOf(b) iff
-/// IsIsomorphic(a, b).
+/// a ≅ b.
 CanonicalKey CanonicalKeyOf(const Structure& s);
 
 /// Canonical certificate of a single *connected* component (exposed for

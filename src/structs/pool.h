@@ -3,8 +3,8 @@
 // A StructurePool maps canonical keys (structs/canonical.h) to unique,
 // dense StructureRef ids: two structures intern to the same ref iff they
 // are isomorphic. This turns the pipeline's "is this component already
-// known?" and "which basis index is this component?" questions — previously
-// O(k) pairwise IsIsomorphic backtracking — into single hash-map probes,
+// known?" and "which basis index is this component?" questions into single
+// hash-map probes instead of O(k) pairwise isomorphism tests,
 // and gives the hom-count cache (hom/hom_cache.h) stable (from, to) keys.
 //
 // Thread safety (the concurrent-serving contract):

@@ -1,7 +1,6 @@
 #include "structs/refinement.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/hash.h"
 
@@ -29,7 +28,6 @@ ColorRefinementResult RefineColors(const Structure& s,
   // Invariant: colors are canonical (depend only on the isomorphism type)
   // because each round's new color is the RANK of the element's signature
   // among all signatures, and signatures are built from canonical colors.
-  std::vector<std::uint64_t> last_signature(n, 0);
   for (std::size_t round = 0; round < n; ++round) {
     // Signature: previous color mixed with a commutative accumulation of
     // position-tagged colored-tuple hashes over all incident facts.
@@ -61,31 +59,13 @@ ColorRefinementResult RefineColors(const Structure& s,
     bool stable = sorted.size() == result.num_colors;
     result.color_of_element = std::move(next);
     result.num_colors = sorted.size();
-    result.rounds = round + 1;
-    last_signature = std::move(signature);
     if (stable) break;
     // A seeded (search-branch) run stops as soon as the partition is
     // discrete — one signature round on a discrete coloring cannot merge
     // classes, and the search only consumes the partition.
     if (seeded && result.num_colors == n) break;
   }
-
-  if (!seeded) {
-    // Canonical histogram: (stable signature value, class size), sorted.
-    // Stable signatures are isomorphism-invariant by the rank argument.
-    std::map<std::uint64_t, std::size_t> counts;
-    for (std::size_t e = 0; e < n; ++e) ++counts[last_signature[e]];
-    for (const auto& [sig, count] : counts) {
-      result.histogram.emplace_back(sig, count);
-    }
-  }
   return result;
-}
-
-bool ColorRefinementDistinguishes(const Structure& a, const Structure& b) {
-  if (a.schema() != b.schema()) return true;
-  if (a.DomainSize() != b.DomainSize()) return true;
-  return RefineColors(a).histogram != RefineColors(b).histogram;
 }
 
 }  // namespace bagdet

@@ -1,12 +1,12 @@
 // bagdet: color refinement (1-dimensional Weisfeiler–Leman).
 //
 // Iteratively refines a coloring of the domain by the multiset of
-// (relation, position, neighbor-colors) incidences until stable. The
-// stable color histogram is an isomorphism invariant strictly stronger
-// than degree profiles; it prunes the isomorphism backtracking and gives
-// the distinguisher search a fast non-isomorphism witness. (It is not
-// complete — e.g. it cannot tell a 6-cycle from two 3-cycles — which is
-// why IsIsomorphic still backtracks and Lemma 43 needs hom counts.)
+// (relation, position, neighbor-colors) incidences until stable. It is the
+// refinement step of the canonical-labeling search (structs/canonical.h):
+// the unseeded run gives the search its root partition, and each branch
+// re-refines from an individualized coloring. (Refinement alone is not a
+// complete invariant — it cannot tell a 6-cycle from two 3-cycles — which
+// is why the search individualizes and branches.)
 
 #ifndef BAGDET_STRUCTS_REFINEMENT_H_
 #define BAGDET_STRUCTS_REFINEMENT_H_
@@ -18,35 +18,25 @@
 
 namespace bagdet {
 
-/// Stable coloring of the domain: colors are dense ids 0..k-1, canonical
-/// in the sense that isomorphic structures get identical color
-/// *histograms* (not necessarily identical per-element ids).
+/// Stable coloring of the domain: colors are dense ids 0..k-1, and each
+/// id is an isomorphism-invariant function of (structure, initial
+/// coloring): for an isomorphism π, element e of s and π(e) of π(s) get
+/// the same color.
 struct ColorRefinementResult {
   std::vector<std::uint32_t> color_of_element;
   std::size_t num_colors = 0;
-  /// Sorted (color, count) histogram — the isomorphism invariant.
-  std::vector<std::pair<std::uint64_t, std::size_t>> histogram;
-  std::size_t rounds = 0;  ///< Refinement rounds until stable.
 };
 
 /// Runs color refinement to the stable partition.
 ///
 /// With the default (null) seed, refinement starts from the uniform
-/// coloring and the result carries the canonical histogram invariant.
-/// A non-null `seed_colors` (with `seed_num_colors` distinct ids) starts
-/// from that coloring instead — the individualization step of the
-/// canonical-labeling search (structs/canonical.cpp) branches this way —
-/// color ids then stay isomorphism-invariant functions of (structure,
-/// initial coloring). Seeded runs skip the histogram (the search never
-/// reads it) and return unchanged immediately when the seed is already
-/// discrete.
+/// coloring. A non-null `seed_colors` (with `seed_num_colors` distinct
+/// ids) starts from that coloring instead — the individualization step of
+/// the canonical-labeling search (structs/canonical.cpp) branches this way
+/// — and returns unchanged immediately when the seed is already discrete.
 ColorRefinementResult RefineColors(
     const Structure& s, const std::vector<std::uint32_t>* seed_colors = nullptr,
     std::size_t seed_num_colors = 0);
-
-/// True iff the stable histograms differ — a sound (but incomplete)
-/// non-isomorphism check: true implies non-isomorphic.
-bool ColorRefinementDistinguishes(const Structure& a, const Structure& b);
 
 }  // namespace bagdet
 

@@ -56,21 +56,6 @@ class Schema {
     return id;
   }
 
-  /// True iff every relation has the given arity.
-  bool AllArity(std::size_t arity) const {
-    for (std::size_t a : arities_) {
-      if (a != arity) return false;
-    }
-    return true;
-  }
-
-  /// Maximum arity over all relations (0 for an empty schema).
-  std::size_t MaxArity() const {
-    std::size_t m = 0;
-    for (std::size_t a : arities_) m = a > m ? a : m;
-    return m;
-  }
-
   friend bool operator==(const Schema& a, const Schema& b) {
     return a.names_ == b.names_ && a.arities_ == b.arities_;
   }

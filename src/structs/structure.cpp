@@ -7,7 +7,6 @@
 
 #include "structs/canonical.h"
 #include "structs/index.h"
-#include "structs/refinement.h"
 
 namespace bagdet {
 
@@ -241,36 +240,6 @@ bool operator==(const Structure& a, const Structure& b) {
   return true;
 }
 
-std::uint64_t Structure::InvariantFingerprint() const {
-  // Multiset of per-element "degree profiles" plus global counts. Equal for
-  // isomorphic structures because it never references element names.
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h;
-  };
-  auto slot_hash = [](RelationId r, std::size_t pos) {
-    std::uint64_t z = (static_cast<std::uint64_t>(r) << 8) | pos;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
-  std::vector<std::uint64_t> profiles(domain_size_, 0);
-  std::uint64_t global = domain_size_;
-  for (RelationId r = 0; r < facts_.size(); ++r) {
-    global = mix(global, (static_cast<std::uint64_t>(r) << 32) | facts_[r].size());
-    for (const Tuple& t : facts_[r]) {
-      for (std::size_t pos = 0; pos < t.size(); ++pos) {
-        // Addition keeps the per-element accumulation independent of the
-        // fact iteration order (which depends on element names).
-        profiles[t[pos]] += slot_hash(r, pos);
-      }
-    }
-  }
-  std::sort(profiles.begin(), profiles.end());
-  for (std::uint64_t p : profiles) global = mix(global, p);
-  return global;
-}
-
 Structure DisjointUnion(const Structure& a, const Structure& b) {
   if (a.schema() != b.schema()) {
     throw std::invalid_argument("DisjointUnion: schema mismatch");
@@ -326,88 +295,6 @@ Structure IteratedProduct(const Structure& a, std::uint64_t t) {
   Structure result = AllLoopsSingleton(a.schema_ptr());
   for (std::uint64_t i = 0; i < t; ++i) result = Product(result, a);
   return result;
-}
-
-std::vector<Structure> ConnectedComponents(const Structure& s) {
-  const ComponentRange components = s.Components();
-  return std::vector<Structure>(components.begin(), components.end());
-}
-
-namespace {
-
-/// Per-element invariant used to prune the isomorphism search: for every
-/// (relation, position) the number of facts featuring the element there.
-std::vector<std::vector<std::uint32_t>> ElementProfiles(const Structure& s) {
-  std::size_t slots = 0;
-  for (RelationId r = 0; r < s.schema().NumRelations(); ++r) {
-    slots += s.schema().Arity(r);
-  }
-  std::vector<std::vector<std::uint32_t>> profiles(
-      s.DomainSize(), std::vector<std::uint32_t>(slots, 0));
-  std::size_t base = 0;
-  for (RelationId r = 0; r < s.schema().NumRelations(); ++r) {
-    for (const Tuple& t : s.Facts(r)) {
-      for (std::size_t pos = 0; pos < t.size(); ++pos) {
-        ++profiles[t[pos]][base + pos];
-      }
-    }
-    base += s.schema().Arity(r);
-  }
-  return profiles;
-}
-
-bool ExtendIsomorphism(const Structure& a, const Structure& b,
-                       const std::vector<std::vector<std::uint32_t>>& pa,
-                       const std::vector<std::vector<std::uint32_t>>& pb,
-                       std::vector<Element>& mapping, std::vector<bool>& used,
-                       std::size_t next) {
-  const std::size_t n = a.DomainSize();
-  if (next == n) {
-    // Verify that mapping sends facts of `a` exactly onto facts of `b`.
-    for (RelationId r = 0; r < a.schema().NumRelations(); ++r) {
-      if (a.Facts(r).size() != b.Facts(r).size()) return false;
-      for (const Tuple& t : a.Facts(r)) {
-        Tuple mapped(t.size());
-        for (std::size_t i = 0; i < t.size(); ++i) mapped[i] = mapping[t[i]];
-        if (!b.HasFact(r, mapped)) return false;
-      }
-    }
-    return true;
-  }
-  for (Element candidate = 0; candidate < n; ++candidate) {
-    if (used[candidate] || pa[next] != pb[candidate]) continue;
-    mapping[next] = candidate;
-    used[candidate] = true;
-    if (ExtendIsomorphism(a, b, pa, pb, mapping, used, next + 1)) return true;
-    used[candidate] = false;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool IsIsomorphic(const Structure& a, const Structure& b) {
-  if (a.schema() != b.schema()) return false;
-  if (a.DomainSize() != b.DomainSize()) return false;
-  for (RelationId r = 0; r < a.schema().NumRelations(); ++r) {
-    if (a.Facts(r).size() != b.Facts(r).size()) return false;
-  }
-  if (a.InvariantFingerprint() != b.InvariantFingerprint()) return false;
-  auto pa = ElementProfiles(a);
-  auto pb = ElementProfiles(b);
-  {
-    auto sa = pa;
-    auto sb = pb;
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-    if (sa != sb) return false;
-  }
-  // Color refinement (1-WL) prunes most non-isomorphic pairs that share
-  // degree profiles before the backtracking search starts.
-  if (ColorRefinementDistinguishes(a, b)) return false;
-  std::vector<Element> mapping(a.DomainSize(), 0);
-  std::vector<bool> used(a.DomainSize(), false);
-  return ExtendIsomorphism(a, b, pa, pb, mapping, used, 0);
 }
 
 }  // namespace bagdet

@@ -114,10 +114,6 @@ class Structure {
     return !(a == b);
   }
 
-  /// Cheap isomorphism-invariant fingerprint: equal for isomorphic
-  /// structures (the converse does not hold; use IsIsomorphic for that).
-  std::uint64_t InvariantFingerprint() const;
-
   /// Positional fact index (position → value → fact ids; see
   /// structs/index.h). Built lazily on first use and cached; any mutation
   /// invalidates the cache. The reference stays valid until the structure
@@ -211,13 +207,6 @@ Structure IteratedProduct(const Structure& a, std::uint64_t t);
 
 /// The all-loops singleton over a schema (identity of ×).
 Structure AllLoopsSingleton(std::shared_ptr<const Schema> schema);
-
-/// An owned copy of s.Components().
-std::vector<Structure> ConnectedComponents(const Structure& s);
-
-/// Exact isomorphism test (backtracking with invariant pruning). Intended
-/// for query-sized structures.
-bool IsIsomorphic(const Structure& a, const Structure& b);
 
 }  // namespace bagdet
 

@@ -102,10 +102,6 @@ class SVOBitset {
     if (tail != 0) w[num_words_ - 1] = (1ull << tail) - 1;
   }
 
-  void ResetAll() {
-    std::memset(words(), 0, num_words_ * sizeof(std::uint64_t));
-  }
-
   /// Number of set bits.
   std::size_t Count() const {
     const std::uint64_t* w = words();

@@ -106,9 +106,6 @@ class LimbArena {
     std::size_t used = 0;
   };
 
-  /// Bytes of block storage currently retained (allocated from the heap).
-  std::size_t RetainedBytes() const { return retained_bytes_; }
-
   /// The calling thread's arena.
   static LimbArena& ForThread();
 

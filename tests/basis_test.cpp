@@ -8,9 +8,11 @@
 #include "core/counterexample.h"
 #include "core/distinguisher.h"
 #include "hom/hom.h"
+#include "hom/hom_cache.h"
 #include "hom/symbolic.h"
 #include "linalg/gauss.h"
 #include "query/parser.h"
+#include "reference/oracles.h"
 #include "structs/generator.h"
 #include "util/rng.h"
 
@@ -29,7 +31,9 @@ TEST(DistinguisherTest, IsomorphicPairHasNoDistinguisher) {
   a.AddFact(0, {0, 1});
   Structure b(schema);
   b.AddFact(0, {1, 0});
-  EXPECT_FALSE(FindDistinguisher(a, b).has_value());
+  DistinguisherSearch search = SearchDistinguisher(a, b);
+  EXPECT_EQ(search.outcome, DistinguisherOutcome::kIsomorphic);
+  EXPECT_FALSE(search.distinguisher.has_value());
 }
 
 TEST(DistinguisherTest, FindsWitnessForSimplePairs) {
@@ -38,9 +42,10 @@ TEST(DistinguisherTest, FindsWitnessForSimplePairs) {
   edge.AddFact(0, {0, 1});
   Structure loop(schema);
   loop.AddFact(0, {0, 0});
-  std::optional<Structure> h = FindDistinguisher(edge, loop);
-  ASSERT_TRUE(h.has_value());
-  EXPECT_NE(CountHoms(edge, *h), CountHoms(loop, *h));
+  DistinguisherSearch search = SearchDistinguisher(edge, loop);
+  ASSERT_EQ(search.outcome, DistinguisherOutcome::kFound);
+  const Structure& h = *search.distinguisher;
+  EXPECT_NE(CountHoms(edge, h), CountHoms(loop, h));
 }
 
 TEST(DistinguisherTest, HardPairSameCountsOnThemselves) {
@@ -57,9 +62,10 @@ TEST(DistinguisherTest, HardPairSameCountsOnThemselves) {
   };
   Structure c6 = cycle(6);
   Structure c3 = cycle(3);
-  std::optional<Structure> h = FindDistinguisher(c6, c3);
-  ASSERT_TRUE(h.has_value());
-  EXPECT_NE(CountHoms(c6, *h), CountHoms(c3, *h));
+  DistinguisherSearch search = SearchDistinguisher(c6, c3);
+  ASSERT_EQ(search.outcome, DistinguisherOutcome::kFound);
+  const Structure& h = *search.distinguisher;
+  EXPECT_NE(CountHoms(c6, h), CountHoms(c3, h));
 }
 
 TEST(DistinguisherTest, RandomConnectedPairsAlwaysSplit) {
@@ -71,13 +77,65 @@ TEST(DistinguisherTest, RandomConnectedPairsAlwaysSplit) {
   for (int iter = 0; iter < 40 && tried < 20; ++iter) {
     Structure a = RandomConnectedStructure(schema, 1 + rng.Below(4), &rng);
     Structure b = RandomConnectedStructure(schema, 1 + rng.Below(4), &rng);
-    if (IsIsomorphic(a, b)) continue;
+    if (reference::IsIsomorphic(a, b)) continue;
     ++tried;
-    std::optional<Structure> h = FindDistinguisher(a, b);
-    ASSERT_TRUE(h.has_value()) << a.ToString() << " vs " << b.ToString();
-    EXPECT_NE(CountHoms(a, *h), CountHoms(b, *h));
+    DistinguisherSearch search = SearchDistinguisher(a, b);
+    ASSERT_EQ(search.outcome, DistinguisherOutcome::kFound)
+        << a.ToString() << " vs " << b.ToString();
+    const Structure& h = *search.distinguisher;
+    EXPECT_NE(CountHoms(a, h), CountHoms(b, h));
   }
   EXPECT_GE(tried, 10);
+}
+
+/// A uniformly random relabeling of `s` (isomorphic by construction).
+Structure PermutedCopy(const Structure& s, Rng* rng) {
+  const std::size_t n = s.DomainSize();
+  std::vector<Element> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<Element>(i);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng->Below(i)]);
+  }
+  return s.MapDomain(perm, n);
+}
+
+TEST(DistinguisherTest, PrivateCacheMatchesSharedCache) {
+  // A search without a cache gets a private one for the call; it must end
+  // exactly as a search through one cache shared by every pair: the same
+  // outcome and the same distinguisher. Permuted copies are isomorphic.
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("R", 2);
+  schema->AddRelation("P", 1);
+  Rng rng(4040);
+  HomCache shared;
+  DistinguisherOptions with_cache;
+  with_cache.hom_cache = &shared;
+  int found = 0;
+  for (int iter = 0; iter < 40; ++iter) {
+    Structure a = RandomConnectedStructure(schema, 1 + rng.Below(4), &rng);
+    Structure b = RandomConnectedStructure(schema, 1 + rng.Below(4), &rng);
+    DistinguisherSearch alone = SearchDistinguisher(a, b);
+    DistinguisherSearch cached = SearchDistinguisher(a, b, with_cache);
+    ASSERT_EQ(alone.outcome, cached.outcome)
+        << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(alone.outcome == DistinguisherOutcome::kIsomorphic,
+              reference::IsIsomorphic(a, b))
+        << a.ToString() << " vs " << b.ToString();
+    if (alone.outcome == DistinguisherOutcome::kFound) {
+      ++found;
+      ASSERT_TRUE(cached.distinguisher.has_value());
+      EXPECT_EQ(*alone.distinguisher, *cached.distinguisher)
+          << a.ToString() << " vs " << b.ToString();
+    }
+    Structure p = PermutedCopy(a, &rng);
+    EXPECT_EQ(SearchDistinguisher(a, p).outcome,
+              DistinguisherOutcome::kIsomorphic)
+        << a.ToString();
+    EXPECT_EQ(SearchDistinguisher(a, p, with_cache).outcome,
+              DistinguisherOutcome::kIsomorphic)
+        << a.ToString();
+  }
+  EXPECT_GE(found, 20);
 }
 
 TEST(DistinguisherTest, InducedSubstructureMask) {

@@ -20,6 +20,7 @@
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
 #include "query/parser.h"
+#include "reference/oracles.h"
 #include "structs/generator.h"
 #include "structs/pool.h"
 #include "structs/structure.h"
@@ -105,7 +106,7 @@ TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
     for (std::size_t t = 1; t < kThreads; ++t) {
       EXPECT_EQ(seen[t][c], seen[0][c]);
     }
-    EXPECT_TRUE(IsIsomorphic(pool.At(seen[0][c]), classes[c]));
+    EXPECT_TRUE(reference::IsIsomorphic(pool.At(seen[0][c]), classes[c]));
     EXPECT_EQ(pool.FindKey(pool.KeyOf(seen[0][c])), seen[0][c]);
   }
 }
@@ -385,9 +386,9 @@ TEST(ConcurrentDecisionTest, FrozenBodiesCountAndVerifyConcurrently) {
   Rng rng(2026);
   const Structure data = RandomStructure(query.schema_ptr(), 3, &rng);
   std::vector<BigInt> expected;
-  expected.push_back(CountHomsNaive(query.FrozenBody(), data));
+  expected.push_back(reference::CountHomsNaive(query.FrozenBody(), data));
   for (const ConjunctiveQuery& view : rules) {
-    expected.push_back(CountHomsNaive(view.FrozenBody(), data));
+    expected.push_back(reference::CountHomsNaive(view.FrozenBody(), data));
   }
   for (std::size_t b = 0; b < bodies.size(); ++b) {
     ASSERT_FALSE(expected[b].IsZero()) << "body " << b;

@@ -55,11 +55,12 @@ BagCounterexample ReferenceSynthesize(const InstanceAnalysis& analysis,
   Rational t;
   for (std::int64_t j = 1;; ++j) {
     t = Rational(1) + Rational(BigInt(1), BigInt::Pow(BigInt(2), j));
-    Vec t_pow_z(k);
+    // The paper's t^z ∘ p (Definition 48(1)): entrywise t^{z_i} · p_i.
+    Vec t_pow_z_p(k);
     for (std::size_t i = 0; i < k; ++i) {
-      t_pow_z[i] = Rational::Pow(t, result.z[i].numerator().ToInt64());
+      t_pow_z_p[i] = Rational::Pow(t, result.z[i].numerator().ToInt64()) * p[i];
     }
-    alpha_prime = cone.Coordinates(Vec::Hadamard(t_pow_z, p));
+    alpha_prime = cone.Coordinates(t_pow_z_p);
     if (alpha_prime.IsNonNegative()) break;
     if (j > 4096) throw std::logic_error("walk failed to converge");
   }

@@ -364,7 +364,7 @@ DistinguisherOptions CrippledDistinguisher() {
 
 TEST_F(GovernedTest, DistinguisherBoundsExhaustionIsTyped) {
   // Tier-0 blind pair + crippled sweep/random tiers: SearchDistinguisher
-  // reports kBoundsExhausted; the legacy wrapper still throws.
+  // reports kBoundsExhausted.
   auto schema = GraphSchema();
   Structure a = TierZeroBlindA(schema);
   Structure b = TierZeroBlindB(schema);
@@ -374,7 +374,6 @@ TEST_F(GovernedTest, DistinguisherBoundsExhaustionIsTyped) {
   DistinguisherSearch search = SearchDistinguisher(a, b, tight);
   EXPECT_EQ(search.outcome, DistinguisherOutcome::kBoundsExhausted);
   EXPECT_FALSE(search.distinguisher.has_value());
-  EXPECT_THROW(FindDistinguisher(a, b, tight), std::runtime_error);
   // Default bounds admit the complete sweep and succeed on the same pair.
   DistinguisherSearch wide = SearchDistinguisher(a, b, DistinguisherOptions());
   EXPECT_EQ(wide.outcome, DistinguisherOutcome::kFound);

@@ -1,7 +1,8 @@
 // Randomized differential test pinning the optimized variable-elimination
-// engine (CountHoms) to the reference semantics: backtracking enumeration
-// (CountHomsByEnumeration) and brute-force assignment checking
-// (CountHomsNaive) must agree on every generated pair — including
+// engine (CountHoms) to the reference semantics of tests/reference/
+// oracles.h: backtracking enumeration (reference::CountHomsByEnumeration,
+// one EnumerateHoms visit per hom) and brute-force assignment checking
+// (reference::CountHomsNaive) must agree on every generated pair — including
 // disconnected sources, isolated elements, empty domains, and nullary
 // relations — and, with and without a cached canonical form, on sources
 // that repeat a component class verbatim or relabelled. Counts whose DP
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "hom/hom.h"
+#include "reference/oracles.h"
 #include "structs/canonical.h"
 #include "structs/generator.h"
 #include "util/rng.h"
@@ -28,8 +30,8 @@ namespace {
 
 void ExpectAllEnginesAgree(const Structure& from, const Structure& to) {
   const BigInt dp = CountHoms(from, to);
-  const BigInt enumerated = CountHomsByEnumeration(from, to);
-  const BigInt naive = CountHomsNaive(from, to);
+  const BigInt enumerated = reference::CountHomsByEnumeration(from, to);
+  const BigInt naive = reference::CountHomsNaive(from, to);
   EXPECT_EQ(dp, enumerated) << "from=" << from.ToString()
                             << " to=" << to.ToString();
   EXPECT_EQ(dp, naive) << "from=" << from.ToString()
@@ -145,7 +147,7 @@ TEST(HomDiffTest, DisconnectedSourcesWithNullaries) {
 /// computes a canonical form itself.
 void ExpectGroupedCountExact(const Structure& from, const Structure& to) {
   ASSERT_EQ(from.CachedCanonicalData(), nullptr);
-  const BigInt naive = CountHomsNaive(from, to);
+  const BigInt naive = reference::CountHomsNaive(from, to);
   EXPECT_EQ(CountHoms(from, to), naive)
       << "uncanonicalized from=" << from.ToString() << " to=" << to.ToString();
   EXPECT_EQ(from.CachedCanonicalData(), nullptr);
@@ -324,7 +326,7 @@ void ExpectClosedForm(const Structure& from, const Structure& to,
     assignments *= static_cast<double>(to.DomainSize());
   }
   if (assignments <= 1 << 16) {
-    EXPECT_EQ(CountHomsNaive(from, to), expected)
+    EXPECT_EQ(reference::CountHomsNaive(from, to), expected)
         << "from=" << from.ToString() << " |dom(to)|=" << to.DomainSize();
   }
 }

