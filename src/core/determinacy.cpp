@@ -180,18 +180,6 @@ DeterminacyResult DecideBagDeterminacy(std::vector<ConjunctiveQuery> views,
   return result;
 }
 
-GovernedAnalysis AnalyzeInstanceGoverned(std::vector<ConjunctiveQuery> views,
-                                         ConjunctiveQuery query,
-                                         ExecContext& exec) {
-  GovernedAnalysis out;
-  std::optional<InstanceAnalysis> analysis =
-      RunGoverned(exec, &out.status, [&] {
-        return AnalyzeInstance(std::move(views), std::move(query));
-      });
-  if (analysis.has_value()) out.analysis = std::move(*analysis);
-  return out;
-}
-
 GovernedDecision DecideBagDeterminacyGoverned(
     std::vector<ConjunctiveQuery> views, ConjunctiveQuery query,
     const DeterminacyOptions& options, ExecContext& exec) {

@@ -120,8 +120,8 @@ struct DeterminacyOptions {
   DistinguisherOptions distinguisher;
   /// Persistent pool + count cache to run this decision against (see
   /// AnalyzeInstance). Null = private per-call pool and cache. Its
-  /// budgets belong to its owner; counts are pure functions of the
-  /// interned classes, so eviction pressure never changes a verdict.
+  /// retention belongs to its owner; counts are pure functions of the
+  /// interned classes, so sharing a cache never changes a verdict.
   std::shared_ptr<HomCache> shared_hom_cache;
 };
 
@@ -153,23 +153,6 @@ DeterminacyResult DecideBagDeterminacy(
     std::vector<ConjunctiveQuery> views, ConjunctiveQuery query,
     const DeterminacyOptions& options = DeterminacyOptions());
 
-/// AnalyzeInstance under an execution context: the hom-count kernels,
-/// canonical labeling searches and pool interning behind the analysis all
-/// checkpoint against `exec`'s deadline, cancellation token, and memory
-/// budget. `analysis` is engaged iff `status.ok()`; on a trip the status
-/// carries the tripping kernel and the bytes/elapsed at trip time, and the
-/// shared pool/caches of other requests are unaffected. Bit-identical to
-/// AnalyzeInstance whenever no limit trips. Malformed input (non-boolean
-/// query, schema mismatch, nullary atom) still throws
-/// std::invalid_argument exactly like AnalyzeInstance.
-struct GovernedAnalysis {
-  ExecStatus status;
-  std::optional<InstanceAnalysis> analysis;
-};
-GovernedAnalysis AnalyzeInstanceGoverned(std::vector<ConjunctiveQuery> views,
-                                         ConjunctiveQuery query,
-                                         ExecContext& exec);
-
 /// DecideBagDeterminacy under an execution context — the whole pipeline
 /// (analysis, span test, basis construction, counterexample synthesis)
 /// runs governed. `result` is engaged iff `status.ok()`; when engaged it
@@ -194,9 +177,9 @@ GovernedDecision DecideBagDeterminacyGoverned(
 /// sharded pool are thread-safe, so concurrent checks on the *same*
 /// analysis are supported — each thread just needs its own `data` object
 /// (Structure's lazy positional index is per-object and unsynchronized).
-/// Count entries are LRU-bounded by the cache's budgets; each distinct
-/// small `data` (≤ HomCache::kMaxInternDomain elements) stays interned
-/// for the analysis's lifetime, larger data bypasses the cache entirely.
+/// Count entries and each distinct small `data` (≤
+/// HomCache::kMaxInternDomain elements) stay resident for the analysis's
+/// lifetime; larger data bypasses the cache entirely.
 bool CheckWitnessOnStructure(const InstanceAnalysis& analysis,
                              const DeterminacyWitness& witness,
                              const Structure& data);

@@ -52,6 +52,12 @@ namespace {
 /// count that is never reused, so it is counted transiently.
 constexpr std::size_t kMaxCachedCandidateDomain = 10;
 
+/// Random fallback for inputs past the sweep: attempts, largest candidate
+/// domain and RNG seed (fixed, so a search is deterministic).
+constexpr int kRandomAttempts = 512;
+constexpr std::size_t kMaxRandomDomain = 4;
+constexpr std::uint64_t kRandomSeed = 17;
+
 /// True iff `candidate` separates the counts of a and b. Tier-0
 /// candidates (the inputs themselves) pass `cached = true`: the
 /// isomorphism pre-check interned them already.
@@ -106,10 +112,10 @@ DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
   }
   // Tier 2: randomized fallback for oversized inputs. Exhausting it is a
   // typed outcome, not an exception — callers own the policy.
-  Rng rng(options.seed);
-  for (int attempt = 0; attempt < options.random_attempts; ++attempt) {
+  Rng rng(kRandomSeed);
+  for (int attempt = 0; attempt < kRandomAttempts; ++attempt) {
     ExecCheckPoint("distinguisher.sweep");
-    std::size_t domain = 1 + rng.Below(options.max_random_domain);
+    std::size_t domain = 1 + rng.Below(kMaxRandomDomain);
     Structure candidate = RandomStructure(a.schema_ptr(), domain, &rng);
     if (Distinguishes(a, b, candidate, cache, false)) {
       return {DistinguisherOutcome::kFound, std::move(candidate)};

@@ -30,15 +30,10 @@ class HomCache;
 
 struct DistinguisherOptions {
   /// Upper bound on the domain size for the (complete) induced-substructure
-  /// sweep; above it only the cheap candidates and random search run.
-  /// Effective bound is min(this, 63): the sweep addresses subsets through
-  /// a 64-bit mask.
+  /// sweep; above it only the cheap candidates and a fixed random fallback
+  /// (512 seeded candidates of at most 4 elements) run. Effective bound is
+  /// min(this, 63): the sweep addresses subsets through a 64-bit mask.
   std::size_t max_subset_domain = 16;
-  /// Random fallback: number of attempts and maximal random domain size.
-  int random_attempts = 512;
-  std::size_t max_random_domain = 4;
-  /// RNG seed for the fallback.
-  std::uint64_t seed = 17;
   /// Memoized hom counter (hom/hom_cache.h) shared across searches:
   /// candidates repeat heavily across the pairwise Step-1 loop of
   /// BuildGoodBasis. The isomorphism pre-check interns both inputs in its

@@ -1,6 +1,6 @@
 #include "hom/hom_cache.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "hom/hom.h"
 #include "structs/index.h"
@@ -11,10 +11,19 @@ namespace bagdet {
 
 namespace {
 
-/// Approximate resident cost of one memoized count: list/map node
-/// bookkeeping plus the BigInt's spilled limbs (small counts are inline).
-std::size_t EntryFootprint(std::size_t entry_size, const BigInt& count) {
-  return entry_size + 96 + count.BitLength() / 8;
+/// Approximate resident cost of one memoized count: hash-node bookkeeping
+/// plus the BigInt's spilled limbs (small counts are inline).
+std::uint64_t CountFootprint(const BigInt& count) {
+  return sizeof(std::pair<const std::uint64_t, BigInt>) +
+         2 * sizeof(void*) + count.BitLength() / 8;
+}
+
+/// Approximate resident cost of one component-decomposition memo entry.
+std::uint64_t DecompositionFootprint(const CanonicalKey& key,
+                                     const std::vector<StructureRef>& refs) {
+  return sizeof(std::pair<const CanonicalKey, std::vector<StructureRef>>) +
+         2 * sizeof(void*) + key.bytes.size() +
+         refs.size() * sizeof(StructureRef);
 }
 
 }  // namespace
@@ -25,29 +34,13 @@ HomCache::HomCache(std::shared_ptr<StructurePool> pool)
 void HomCache::InsertCount(CountShard& shard, std::uint64_t key,
                            const BigInt& count) {
   // Injected faults here must land before the shard is touched: an
-  // aborted insert unwinds without the memoization, never with a
-  // half-linked LRU entry, and a rerun recomputes and re-inserts cleanly.
+  // aborted insert unwinds without the memoization, and a rerun
+  // recomputes and re-inserts cleanly.
   BAGDET_FAILPOINT("homcache/insert");
-  const std::size_t footprint = EntryFootprint(sizeof(CacheEntry), count);
-  const std::size_t entry_budget =
-      std::max<std::size_t>(1, max_entries_ / kNumShards);
-  const std::size_t byte_budget =
-      std::max<std::size_t>(1, max_bytes_ / kNumShards);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.index.find(key) != shard.index.end()) return;  // Raced insert.
-  shard.lru.push_front(CacheEntry{key, count, footprint});
-  shard.index.emplace(key, shard.lru.begin());
-  shard.bytes += footprint;
-  // Evict cold entries past either budget, but always keep the entry just
-  // inserted — a single count larger than the whole byte budget must still
-  // serve its own request.
-  while (shard.lru.size() > 1 &&
-         (shard.index.size() > entry_budget || shard.bytes > byte_budget)) {
-    const CacheEntry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  // A raced insert of the same pair finds the entry and changes nothing.
+  if (shard.counts.emplace(key, count).second) {
+    bytes_.fetch_add(CountFootprint(count), std::memory_order_relaxed);
   }
 }
 
@@ -57,11 +50,10 @@ BigInt HomCache::Count(StructureRef from, StructureRef to) {
   CountShard& shard = count_shards_[ShardIndex(key)];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    auto it = shard.counts.find(key);
+    if (it != shard.counts.end()) {
       ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->count;
+      return it->second;
     }
     ++shard.misses;
   }
@@ -117,6 +109,8 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
     }
     refs.push_back(ref);
   }
+  bytes_.fetch_add(DecompositionFootprint(whole_key, refs),
+                   std::memory_order_relaxed);
   return components_of_.emplace(std::move(whole_key), std::move(refs))
       .first->second;
 }
@@ -127,24 +121,10 @@ HomCache::Stats HomCache::stats() const {
     std::lock_guard<std::mutex> lock(shard.mu);
     total.hits += shard.hits;
     total.misses += shard.misses;
-    total.evictions += shard.evictions;
-    total.entries += shard.index.size();
-    total.bytes += shard.bytes;
+    total.entries += shard.counts.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(components_mu_);
-    total.component_entries = components_of_.size();
-  }
+  total.bytes = ApproxBytes();
   return total;
-}
-
-void HomCache::ResetStats() {
-  for (CountShard& shard : count_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.hits = 0;
-    shard.misses = 0;
-    shard.evictions = 0;
-  }
 }
 
 }  // namespace bagdet

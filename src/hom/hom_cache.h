@@ -15,13 +15,13 @@
 // component.
 //
 // Serving-tier behavior:
-//   * The count table is sharded (per-shard mutex) and size-bounded: an
-//     entry budget and an approximate byte budget, enforced per shard with
-//     LRU eviction, keep a long-lived cache from growing without bound. An
-//     evicted pair is simply recomputed on the next miss — counts are pure
-//     functions of the interned classes, so eviction never changes results.
-//   * Hit/miss/eviction/footprint counters are exposed through stats() for
-//     tests and benchmarks; ResetStats() rezeroes the traffic counters.
+//   * The count table is sharded (per-shard mutex). The cache never
+//     evicts: its owner bounds it by retiring the whole cache together
+//     with its pool (generation rotation, src/serve/service.h), which
+//     watches ApproxBytes() — the resident footprint of the counts and of
+//     the component-decomposition memo — next to the pool's own.
+//   * Hit/miss/footprint counters are exposed through stats() for tests
+//     and benchmarks.
 //   * Count and ComponentRefs are safe to call concurrently from any
 //     number of threads (the underlying StructurePool is sharded and its
 //     published representatives immutable), which is what the service's
@@ -33,8 +33,8 @@
 #ifndef BAGDET_HOM_HOM_CACHE_H_
 #define BAGDET_HOM_HOM_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -79,40 +79,30 @@ class HomCache {
   /// memoized per canonical class, and built from the structure's cached
   /// per-component certificates, so repeated decompositions of pipeline
   /// objects never re-run the labeling search. Thread-safe; the reference
-  /// is valid until the cache is destroyed (entries are never evicted from
-  /// this memo — it holds refs, not counts, and stays tiny).
+  /// is valid until the cache is destroyed (the memo never erases entries;
+  /// its footprint counts toward ApproxBytes()).
   const std::vector<StructureRef>& ComponentRefs(const Structure& s);
 
   /// Cache-bypass threshold for the domain size of Count targets.
   static constexpr std::size_t kMaxInternDomain = 256;
 
-  /// Retention budgets for the memoized counts, enforced per shard with
-  /// LRU eviction (each of the kNumShards shards gets an equal slice; the
-  /// most recent entry of a shard is never evicted, so a single oversized
-  /// count still serves its own request). Set before sharing the cache
-  /// across threads; defaults are serving-tier scale.
-  std::size_t max_entries() const { return max_entries_; }
-  void set_max_entries(std::size_t n) { max_entries_ = n; }
-  std::size_t max_bytes() const { return max_bytes_; }
-  void set_max_bytes(std::size_t n) { max_bytes_ = n; }
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    /// Always 0: the cache never evicts (generation rotation retires it
+    /// whole). Kept for readers that still report it.
     std::uint64_t evictions = 0;
     std::uint64_t entries = 0;  ///< Current resident count entries.
-    std::uint64_t bytes = 0;    ///< Approximate resident footprint.
-    /// Resident component-decomposition memos. Unlike counts these are
-    /// never evicted (callers hold references into the memo), so a
-    /// fleet-wide cache's owner watches this alongside the pool's class
-    /// count when deciding generation rotation (src/serve/service.h).
-    std::uint64_t component_entries = 0;
+    std::uint64_t bytes = 0;    ///< ApproxBytes() at the time of the call.
   };
   Stats stats() const;
 
-  /// Rezeroes hits/misses/evictions (entries/bytes track live state and
-  /// are unaffected).
-  void ResetStats();
+  /// Approximate resident footprint of the memoized counts and of the
+  /// component-decomposition memo. Lock-free; owners of long-lived caches
+  /// add it to the pool's ApproxBytes() when deciding generation rotation.
+  std::uint64_t ApproxBytes() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   static constexpr std::size_t kNumShards = 8;
@@ -128,28 +118,18 @@ class HomCache {
     return static_cast<std::size_t>(key) & (kNumShards - 1);
   }
 
-  struct CacheEntry {
-    std::uint64_t key = 0;
-    BigInt count;
-    std::size_t bytes = 0;  ///< Approximate footprint of this entry.
-  };
   struct CountShard {
     mutable std::mutex mu;
-    std::list<CacheEntry> lru;  // Front = most recently used.
-    std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index;
+    std::unordered_map<std::uint64_t, BigInt> counts;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t bytes = 0;
   };
 
-  /// Inserts under the shard lock and evicts LRU entries past the budgets.
+  /// Memoizes a freshly computed count under the shard lock.
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
   std::shared_ptr<StructurePool> pool_;
-  // Serving-tier retention defaults; set_max_entries/bytes replace them.
-  std::size_t max_entries_ = std::size_t{1} << 20;
-  std::size_t max_bytes_ = std::size_t{256} << 20;
+  std::atomic<std::uint64_t> bytes_{0};  ///< Counts + components memo.
 
   // Whole-structure canonical key → component refs. Guarded by
   // components_mu_; node-based map and never erased, so returned

@@ -64,7 +64,7 @@ DeterminacyService::DeterminacyService(ServiceOptions options)
   if (options_.max_concurrent == 0) options_.max_concurrent =
       DefaultThreadCount();
   options_.max_queue = std::max<std::size_t>(1, options_.max_queue);
-  cache_ = NewGenerationLocked();
+  cache_ = std::make_shared<HomCache>();
   try {
     runners_.reserve(options_.max_concurrent);
     for (std::size_t i = 0; i < options_.max_concurrent; ++i) {
@@ -81,15 +81,10 @@ DeterminacyService::DeterminacyService(ServiceOptions options)
 
 DeterminacyService::~DeterminacyService() { Shutdown(); }
 
-std::shared_ptr<HomCache> DeterminacyService::NewGenerationLocked() const {
-  return std::make_shared<HomCache>(
-      std::make_shared<StructurePool>(options_.pool_first_block));
-}
-
 void DeterminacyService::MaybeRotateLocked() {
   const StructurePool& pool = cache_->pool();
   if (pool.size() <= options_.pool_max_classes &&
-      pool.ApproxBytes() <= options_.pool_max_bytes) {
+      pool.ApproxBytes() + cache_->ApproxBytes() <= options_.pool_max_bytes) {
     return;
   }
   // Fold the retiring generation's traffic into the carried totals; the
@@ -98,8 +93,8 @@ void DeterminacyService::MaybeRotateLocked() {
   const HomCache::Stats s = cache_->stats();
   carried_hits_ += s.hits;
   carried_misses_ += s.misses;
-  carried_evictions_ += s.evictions;
-  cache_ = NewGenerationLocked();
+  carried_evictions_ += s.entries;
+  cache_ = std::make_shared<HomCache>();  // Fresh pool + cache.
   ++generation_;
   ++rotations_;
 }
@@ -345,7 +340,7 @@ ServiceStats DeterminacyService::stats() const {
   const HomCache::Stats cs = cache_->stats();
   s.cache_hits = carried_hits_ + cs.hits;
   s.cache_misses = carried_misses_ + cs.misses;
-  s.cache_evictions = carried_evictions_ + cs.evictions;
+  s.cache_evictions = carried_evictions_;
   s.pool_classes = cache_->pool().size();
   s.pool_bytes = cache_->pool().ApproxBytes();
   s.queue_depth = queue_.size();

@@ -38,15 +38,16 @@
 //     submissions shed with kernel "serve/shutdown") and blocks until
 //     every accepted request has produced its outcome.
 //
-// Persistent state. The service owns a StructurePool (constructed with a
-// serving-sized slot directory) and a sharded HomCache shared by every
-// request — overlapping view sets hit warm interned classes and memoized
-// counts across the stream. Retention is generation-based: once the pool
-// exceeds its class/byte budgets the service retires the whole generation
-// and starts a fresh pool + cache. In-flight requests (and returned
-// results, whose InstanceAnalysis holds shared_ptrs) keep their generation
-// alive, so rotation can never invalidate a StructureRef anyone still
-// holds; the retired generation is freed when its last holder lets go.
+// Persistent state. The service owns a StructurePool and a sharded
+// HomCache shared by every request — overlapping view sets hit warm
+// interned classes and memoized counts across the stream. Retention is
+// generation-based and is the only retention rule: once the pool exceeds
+// its class budget, or pool and cache together exceed the byte budget, the
+// service retires the whole generation and starts a fresh pool + cache.
+// In-flight requests (and returned results, whose InstanceAnalysis holds
+// shared_ptrs) keep their generation alive, so rotation can never
+// invalidate a StructureRef anyone still holds; the retired generation is
+// freed when its last holder lets go.
 //
 // Failpoint sites (util/failpoint.h): "serve/admit" fires in Submit before
 // a request is enqueued, "serve/dispatch" fires on the runner thread
@@ -136,12 +137,11 @@ struct ServiceOptions {
   std::uint32_t max_retries = 2;
   /// Permit the decide-without-counterexample degradation tier.
   bool allow_degraded = true;
-  /// Generation rotation thresholds for the persistent pool: retire the
-  /// generation once it retains more classes / projected bytes than this.
+  /// Generation rotation thresholds: retire the generation once its pool
+  /// retains more classes than `pool_max_classes`, or once the pool's and
+  /// the cache's ApproxBytes() together exceed `pool_max_bytes`.
   std::size_t pool_max_classes = std::size_t{1} << 16;
   std::uint64_t pool_max_bytes = std::uint64_t{256} << 20;
-  /// Slot-directory first-block hint for the persistent pool.
-  std::size_t pool_first_block = 4096;
 };
 
 /// Monotonic service counters plus a live snapshot. Cache traffic is
@@ -158,7 +158,7 @@ struct ServiceStats {
   std::uint64_t generation = 1;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
+  std::uint64_t cache_evictions = 0;  ///< Count entries retired by rotation.
   std::uint64_t pool_classes = 0;   ///< Current generation.
   std::uint64_t pool_bytes = 0;     ///< Current generation.
   std::size_t queue_depth = 0;
@@ -208,8 +208,6 @@ class DeterminacyService {
   ServeResponse Execute(const ServeRequest& request,
                         const std::shared_ptr<HomCache>& cache,
                         std::uint64_t generation);
-  /// Fresh pool + cache for a new generation.
-  std::shared_ptr<HomCache> NewGenerationLocked() const;
   void MaybeRotateLocked();
   double RetryAfterMsLocked() const;
 

@@ -28,24 +28,14 @@ std::uint64_t ProjectedFootprintBytes(const CanonicalKey& key,
   return bytes;
 }
 
-/// Rounds the first-block hint up to a power of two within [8, 2^20].
-std::size_t NormalizedFirstBlock(std::size_t hint) {
-  std::size_t size = 8;
-  while (size < hint && size < (1u << 20)) size <<= 1;
-  return size;
-}
-
 }  // namespace
-
-StructurePool::StructurePool(std::size_t first_block_size)
-    : first_block_size_(NormalizedFirstBlock(first_block_size)) {}
 
 StructurePool::~StructurePool() {
   for (Shard& shard : shards_) {
     for (std::size_t b = 0; b < kMaxBlocks; ++b) {
       Slot* block = shard.blocks[b].load(std::memory_order_acquire);
       if (block == nullptr) continue;
-      const std::size_t size = first_block_size_ << b;
+      const std::size_t size = kFirstBlockSize << b;
       for (std::size_t i = 0; i < size; ++i) {
         delete block[i].load(std::memory_order_acquire);
       }
@@ -65,7 +55,7 @@ StructureRef StructurePool::InternWithKey(const CanonicalKey& key,
   const std::uint32_t local = shard.count.load(std::memory_order_relaxed);
   std::size_t block_index, offset;
   Locate(local, &block_index, &offset);
-  if (block_index >= kMaxBlocks || local >= kMaxLocalIndex) {
+  if (block_index >= kMaxBlocks) {
     throw std::length_error("StructurePool: shard capacity exhausted");
   }
   // Admission control: account the projected footprint against the
@@ -91,7 +81,7 @@ StructureRef StructurePool::InternWithKey(const CanonicalKey& key,
   // unaffected no matter how large a persistent pool grows.
   Slot* block = shard.blocks[block_index].load(std::memory_order_acquire);
   if (block == nullptr) {
-    block = new Slot[first_block_size_ << block_index]();
+    block = new Slot[kFirstBlockSize << block_index]();
     shard.blocks[block_index].store(block, std::memory_order_release);
   }
   block[offset].store(entry.release(), std::memory_order_release);

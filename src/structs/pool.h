@@ -29,13 +29,11 @@
 // Persistent (cross-request) use: a pool owned by a long-lived
 // DeterminacyService (src/serve/service.h) outlives any single
 // AnalyzeInstance and accumulates classes across the whole request stream.
-// Two knobs support that mode without touching the per-call fast path:
+// Two properties support that mode without touching the per-call fast
+// path:
 //   * The slot directory grows by publishing new geometric blocks — old
 //     blocks are never reallocated or moved, so lock-free readers stay
-//     race-free at any size. The first-block size is a constructor hint:
-//     per-call pools keep the tiny default (a few hundred bytes of
-//     directory), a serving pool starts at a few thousand slots so the
-//     hot path touches fewer blocks.
+//     race-free at any size.
 //   * ApproxBytes() tracks the projected resident footprint of every
 //     retained class, so an owner can rotate generations (retire the whole
 //     pool once budgets are exceeded, keeping it alive via shared_ptr for
@@ -70,15 +68,7 @@ class StructurePool {
   /// Number of independently locked shards (power of two).
   static constexpr std::size_t kNumShards = 8;
 
-  /// First-block size of the per-shard slot directory (per-call pools).
-  static constexpr std::size_t kDefaultFirstBlockSize = 64;
-
-  /// `first_block_size` sizes the first directory block per shard (rounded
-  /// up to a power of two, clamped to [8, 2^20]). Later blocks double, so
-  /// the hint trades a little up-front directory memory for fewer blocks
-  /// on pools expected to retain many classes (serving tiers); the default
-  /// keeps per-call pools a few hundred bytes.
-  explicit StructurePool(std::size_t first_block_size = kDefaultFirstBlockSize);
+  StructurePool() = default;
   ~StructurePool();
 
   StructurePool(const StructurePool&) = delete;
@@ -132,21 +122,21 @@ class StructurePool {
   // Chunked slot directory per shard: block pointers and entry pointers
   // are published with release stores and read with acquire loads, so
   // At()/KeyOf() need no lock. Blocks grow geometrically (block b holds
-  // first_block_size_ << b slots, allocated lazily under the shard mutex);
+  // kFirstBlockSize << b slots, allocated lazily under the shard mutex);
   // growth only ever publishes a new block — existing blocks are never
   // reallocated or moved, which is what keeps lock-free readers safe while
-  // a persistent pool grows across requests. The default first-block size
-  // keeps a per-call directory a few hundred bytes while still covering
-  // the encodable ref space; Intern throws std::length_error at the
-  // (unreachable in practice) capacity rather than misbehaving.
+  // a persistent pool grows across requests. A fresh directory is a few
+  // hundred bytes, yet kMaxBlocks blocks cover the encodable ref space;
+  // Intern throws std::length_error at the (unreachable in practice)
+  // capacity rather than misbehaving.
+  static constexpr std::size_t kFirstBlockSize = 64;
   static constexpr std::size_t kMaxBlocks = 23;
-  // Largest shard-local index whose encoded ref still fits StructureRef
-  // without colliding with kInvalidStructureRef. With the default first
-  // block the directory caps capacity just below this (64 * (2^23 - 1) <
-  // 2^32 / 8); larger first-block hints could exceed it, so the intern
-  // path checks this bound explicitly and ref arithmetic can never wrap.
-  static constexpr std::uint32_t kMaxLocalIndex =
-      (kInvalidStructureRef - (kNumShards - 1)) / kNumShards;
+  // Every slot the directory can hold encodes to a ref below
+  // kInvalidStructureRef, so ref arithmetic can never wrap.
+  static_assert(kFirstBlockSize * ((std::uint64_t{1} << kMaxBlocks) - 1) *
+                        kNumShards <=
+                    kInvalidStructureRef,
+                "slot directory exceeds the encodable ref space");
   using Slot = std::atomic<const Entry*>;
   struct Shard {
     mutable std::mutex mu;
@@ -158,13 +148,13 @@ class StructurePool {
   };
 
   /// Maps a shard-local index to its (block, offset) in the geometric
-  /// directory: blocks 0..b-1 hold first_block_size_ * (2^b - 1) slots.
-  void Locate(std::uint32_t local, std::size_t* block,
-              std::size_t* offset) const {
-    const unsigned long long m = local / first_block_size_ + 1;
+  /// directory: blocks 0..b-1 hold kFirstBlockSize * (2^b - 1) slots.
+  static void Locate(std::uint32_t local, std::size_t* block,
+                     std::size_t* offset) {
+    const unsigned long long m = local / kFirstBlockSize + 1;
     const int b = 63 - __builtin_clzll(m);
     *block = static_cast<std::size_t>(b);
-    *offset = local - first_block_size_ * ((1ull << b) - 1);
+    *offset = local - kFirstBlockSize * ((1ull << b) - 1);
   }
 
   static std::size_t ShardOf(const CanonicalKey& key) {
@@ -176,7 +166,6 @@ class StructurePool {
   /// Entry for a published ref, nullptr for refs never handed out.
   const Entry* EntryAt(StructureRef ref) const;
 
-  const std::size_t first_block_size_;
   std::array<Shard, kNumShards> shards_;
 };
 

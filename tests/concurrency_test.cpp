@@ -1,6 +1,6 @@
 // Stress and differential tests for the concurrent serving core: the
-// sharded StructurePool under racing interns, the size-bounded HomCache
-// (budgets respected, evicted entries recompute identically), and the
+// sharded StructurePool under racing interns, the sharded HomCache (racing
+// counts agree with uncached ones, its footprint is tracked), and the
 // lazily filled Structure caches behind decisions and certificate checks.
 // Threads here are raw std::threads deliberately oversubscribing the host
 // so the races are real even on a single-core runner; the TSan CI job
@@ -121,76 +121,45 @@ TEST(ConcurrentPoolTest, AtThrowsOnUnknownRef) {
                std::out_of_range);
 }
 
-// --- Bounded HomCache -------------------------------------------------------
+// --- Sharded HomCache -------------------------------------------------------
 
-TEST(BoundedHomCacheTest, EntryBudgetIsRespectedAndEvictedPairsRecompute) {
+TEST(ShardedHomCacheTest, FootprintStartsAtZeroAndGrowsWithCounts) {
   auto schema = GraphSchema();
   HomCache cache;
-  cache.set_max_entries(16);  // 2 per shard.
+  EXPECT_EQ(cache.ApproxBytes(), 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
 
-  std::vector<std::pair<StructureRef, StructureRef>> pairs;
-  std::vector<BigInt> expected;
-  for (Element from_n = 2; from_n <= 5; ++from_n) {
-    for (Element to_n = 2; to_n <= 9; ++to_n) {
-      StructureRef from = cache.Intern(Path(schema, from_n));
-      StructureRef to = cache.Intern(Cycle(schema, to_n));
-      pairs.emplace_back(from, to);
-      expected.push_back(
-          CountHoms(cache.pool().At(from), cache.pool().At(to)));
-    }
-  }
-  // First pass fills far past the budget; entries must stay bounded.
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(cache.Count(pairs[i].first, pairs[i].second), expected[i]);
-  }
-  HomCache::Stats after_fill = cache.stats();
-  EXPECT_LE(after_fill.entries, 16u);
-  EXPECT_GT(after_fill.evictions, 0u);
-  EXPECT_EQ(after_fill.misses, pairs.size());
-
-  // Second pass: evicted pairs re-miss but recompute identical counts.
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(cache.Count(pairs[i].first, pairs[i].second), expected[i]);
-  }
-  HomCache::Stats after_requery = cache.stats();
-  EXPECT_GT(after_requery.misses, after_fill.misses);  // Some were evicted...
-  EXPECT_GT(after_requery.hits, after_fill.hits);      // ...some survived.
-  EXPECT_LE(cache.stats().entries, 16u);
-
-  cache.ResetStats();
-  HomCache::Stats reset = cache.stats();
-  EXPECT_EQ(reset.hits, 0u);
-  EXPECT_EQ(reset.misses, 0u);
-  EXPECT_EQ(reset.evictions, 0u);
-  EXPECT_EQ(reset.entries, after_requery.entries);  // Footprint unaffected.
-}
-
-TEST(BoundedHomCacheTest, ByteBudgetEvictsAndFootprintIsTracked) {
-  auto schema = GraphSchema();
-  HomCache cache;
-  HomCache::Stats empty = cache.stats();
-  EXPECT_EQ(empty.entries, 0u);
-  EXPECT_EQ(empty.bytes, 0u);
-
-  cache.set_max_bytes(8 * 300);  // ~2 smallish entries per shard.
   Rng rng(7);
+  std::uint64_t last = 0;
   for (int i = 0; i < 200; ++i) {
     Structure from = Path(schema, static_cast<Element>(2 + rng.Below(4)));
     Structure to = Cycle(schema, static_cast<Element>(2 + rng.Below(10)));
+    const std::uint64_t entries_before = cache.stats().entries;
     cache.Count(cache.Intern(from), cache.Intern(to));
+    const HomCache::Stats stats = cache.stats();
+    // A new entry adds bytes; a hit leaves the footprint as it was.
+    if (stats.entries > entries_before) {
+      EXPECT_GT(cache.ApproxBytes(), last);
+    } else {
+      EXPECT_EQ(cache.ApproxBytes(), last);
+    }
+    last = cache.ApproxBytes();
+    EXPECT_EQ(stats.bytes, last);
   }
-  HomCache::Stats stats = cache.stats();
-  EXPECT_LE(stats.bytes, 8u * 300u);
-  EXPECT_GT(stats.entries, 0u);
-  EXPECT_GT(stats.evictions, 0u);
+  const HomCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, stats.misses);  // Nothing is ever dropped.
+  EXPECT_EQ(stats.evictions, 0u);
+
+  // The component-decomposition memo is part of the footprint too.
+  cache.ComponentRefs(DisjointUnion(Path(schema, 3), Cycle(schema, 5)));
+  EXPECT_GT(cache.ApproxBytes(), last);
 }
 
-TEST(BoundedHomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {
+TEST(ShardedHomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {
   auto schema = GraphSchema();
   HomCache cache;
-  cache.set_max_entries(64);  // Force eviction churn during the race.
 
-  Rng seed_rng(99);
   std::vector<std::pair<StructureRef, StructureRef>> pairs;
   for (Element from_n = 2; from_n <= 4; ++from_n) {
     for (Element to_n = 2; to_n <= 8; ++to_n) {

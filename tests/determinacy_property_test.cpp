@@ -111,13 +111,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminacyPropertyTest,
 
 // End-to-end invariance: for seeded random instances, the full verdict —
 // determined bit, witness exponents, counterexample coordinates — must be
-// bit-identical with and without hom-cache eviction pressure. Counts are
-// pure functions of the interned classes; a cache-dependent verdict is a
-// soundness bug, not a flake.
-TEST(DeterminacyInvarianceTest, VerdictInvariantUnderCacheBudgets) {
+// bit-identical with a private cache and with one cache shared by every
+// instance (warm with the classes and counts of the earlier ones). Counts
+// are pure functions of the interned classes; a cache-dependent verdict is
+// a soundness bug, not a flake.
+TEST(DeterminacyInvarianceTest, VerdictInvariantUnderSharedCache) {
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("E", 2);
   Rng rng(77001);
+  DeterminacyOptions shared;
+  shared.shared_hom_cache = std::make_shared<HomCache>();
 
   for (int iter = 0; iter < 5; ++iter) {
     ConjunctiveQuery q =
@@ -130,10 +133,7 @@ TEST(DeterminacyInvarianceTest, VerdictInvariantUnderCacheBudgets) {
     }
 
     const DeterminacyResult base = DecideBagDeterminacy(views, q);
-    DeterminacyOptions squeezed;
-    squeezed.shared_hom_cache = std::make_shared<HomCache>();
-    squeezed.shared_hom_cache->set_max_entries(16);  // 2 per shard.
-    const DeterminacyResult other = DecideBagDeterminacy(views, q, squeezed);
+    const DeterminacyResult other = DecideBagDeterminacy(views, q, shared);
 
     ASSERT_EQ(base.determined, other.determined)
         << "iter " << iter << " q=" << q.ToString();

@@ -20,10 +20,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "blind_pair.h"
 #include "core/basis.h"
 #include "core/counterexample.h"
 #include "core/determinacy.h"
@@ -225,32 +227,35 @@ TEST_F(GovernedTest, DeadlineTripsAdversarialAnalyze) {
   // checkpoint sampling slack, reporting the tripping kernel.
   AdversarialInstance inst = MakeAdversarial(35);
   ExecContext exec{ExecLimits{/*deadline_ms=*/50, /*max_memory_bytes=*/0}};
-  GovernedAnalysis out = AnalyzeInstanceGoverned(inst.views, inst.query, exec);
-  ASSERT_FALSE(out.analysis.has_value());
-  EXPECT_EQ(out.status.code, ExecCode::kDeadlineExceeded);
+  ExecStatus status;
+  auto analysis = RunGoverned(
+      exec, &status, [&] { return AnalyzeInstance(inst.views, inst.query); });
+  ASSERT_FALSE(analysis.has_value());
+  EXPECT_EQ(status.code, ExecCode::kDeadlineExceeded);
   // The backtracking search checkpoints both at its nodes (hom.matcher)
   // and inside per-binding domain propagation (hom.domains) — either may
   // observe the deadline first.
-  EXPECT_TRUE(out.status.kernel == "hom.matcher" ||
-              out.status.kernel == "hom.domains")
-      << out.status.kernel;
+  EXPECT_TRUE(status.kernel == "hom.matcher" || status.kernel == "hom.domains")
+      << status.kernel;
   // Overshoot bound: the sampler targets ~1ms between clock reads, so even
   // on a loaded CI host the trip lands well under 10x the deadline.
-  EXPECT_LT(out.status.elapsed_ms, 500.0);
+  EXPECT_LT(status.elapsed_ms, 500.0);
 }
 
 TEST_F(GovernedTest, CancellationStopsAdversarialAnalyze) {
   AdversarialInstance inst = MakeAdversarial(35);
   ExecContext exec{ExecLimits{}};
-  GovernedAnalysis out;
+  ExecStatus status;
+  std::optional<InstanceAnalysis> analysis;
   std::thread worker([&] {
-    out = AnalyzeInstanceGoverned(inst.views, inst.query, exec);
+    analysis = RunGoverned(
+        exec, &status, [&] { return AnalyzeInstance(inst.views, inst.query); });
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   exec.RequestCancel();
   worker.join();
-  ASSERT_FALSE(out.analysis.has_value());
-  EXPECT_EQ(out.status.code, ExecCode::kCancelled);
+  ASSERT_FALSE(analysis.has_value());
+  EXPECT_EQ(status.code, ExecCode::kCancelled);
 }
 
 TEST_F(GovernedTest, MemoryBudgetRejectsPoolAdmission) {
@@ -259,11 +264,13 @@ TEST_F(GovernedTest, MemoryBudgetRejectsPoolAdmission) {
   // the admission-control kernel.
   SmallInstance inst = MakeUndetermined(3);
   ExecContext exec{ExecLimits{/*deadline_ms=*/0, /*max_memory_bytes=*/64}};
-  GovernedAnalysis out = AnalyzeInstanceGoverned(inst.views, inst.query, exec);
-  ASSERT_FALSE(out.analysis.has_value());
-  EXPECT_EQ(out.status.code, ExecCode::kResourceExhausted);
-  EXPECT_EQ(out.status.kernel, "pool.intern");
-  EXPECT_GT(out.status.bytes, 64u);
+  ExecStatus status;
+  auto analysis = RunGoverned(
+      exec, &status, [&] { return AnalyzeInstance(inst.views, inst.query); });
+  ASSERT_FALSE(analysis.has_value());
+  EXPECT_EQ(status.code, ExecCode::kResourceExhausted);
+  EXPECT_EQ(status.kernel, "pool.intern");
+  EXPECT_GT(status.bytes, 64u);
 }
 
 TEST_F(GovernedTest, GovernedUnlimitedBitIdenticalToUngoverned) {
@@ -312,9 +319,10 @@ TEST_F(GovernedTest, TrippedRequestLeavesNextRequestUnaffected) {
   // normal instance matches its ungoverned baseline exactly.
   AdversarialInstance bad = MakeAdversarial(35);
   ExecContext doomed{ExecLimits{/*deadline_ms=*/30, /*max_memory_bytes=*/0}};
-  GovernedAnalysis tripped =
-      AnalyzeInstanceGoverned(bad.views, bad.query, doomed);
-  ASSERT_FALSE(tripped.analysis.has_value());
+  ExecStatus tripped;
+  auto analysis = RunGoverned(
+      doomed, &tripped, [&] { return AnalyzeInstance(bad.views, bad.query); });
+  ASSERT_FALSE(analysis.has_value());
 
   SmallInstance good = MakeUndetermined(3);
   DeterminacyResult baseline = DecideBagDeterminacy(good.views, good.query);
@@ -328,46 +336,23 @@ TEST_F(GovernedTest, TrippedRequestLeavesNextRequestUnaffected) {
 // --- Typed distinguisher/basis outcomes (no exceptions on bound
 // exhaustion) ----------------------------------------------------------------
 
-/// A "tier-0 blind" pair: weakly connected, non-isomorphic digraphs on 4
-/// elements whose cheap candidate counts coincide —
-///   hom(a,a) = hom(b,a) = 8  and  hom(a,b) = hom(b,b) = 20
-/// (found by exhaustive search over all 4-vertex digraphs), so neither
-/// input distinguishes the pair and only the subset sweep or the random
-/// tier can. Crippling those bounds makes kBoundsExhausted genuinely
-/// reachable; default bounds sweep the complete induced-substructure
-/// family, which is guaranteed to separate them.
-Structure TierZeroBlindA(const std::shared_ptr<Schema>& schema) {
-  Structure s(schema);
-  const std::pair<Element, Element> edges[] = {{0, 0}, {0, 1}, {0, 3},
-                                               {1, 1}, {1, 2}, {2, 0}};
-  for (const auto& [u, v] : edges) s.AddFact(0, {u, v});
-  return s;
-}
-
-Structure TierZeroBlindB(const std::shared_ptr<Schema>& schema) {
-  Structure s(schema);
-  const std::pair<Element, Element> edges[] = {{0, 0}, {0, 2}, {0, 3},
-                                               {1, 3}, {2, 0}, {2, 2}};
-  for (const auto& [u, v] : edges) s.AddFact(0, {u, v});
-  return s;
-}
-
+/// The tier-0 blind pair (blind_pair.h) with the sweep switched off:
+/// neither the inputs themselves nor the random fallback separate it, so
+/// kBoundsExhausted is genuinely reachable; default bounds sweep the
+/// complete induced-substructure family, which is guaranteed to separate
+/// them.
 DistinguisherOptions CrippledDistinguisher() {
   DistinguisherOptions tight;
-  tight.max_subset_domain = 2;  // Both inputs (domain 4) skip the sweep.
-  tight.random_attempts = 1;
-  // Domain-1 candidates (a loop or an empty point) count 1/1 resp. 0/0
-  // against both inputs — the random tier cannot separate the pair either.
-  tight.max_random_domain = 1;
+  tight.max_subset_domain = 2;  // Both inputs (domain 5) skip the sweep.
   return tight;
 }
 
 TEST_F(GovernedTest, DistinguisherBoundsExhaustionIsTyped) {
-  // Tier-0 blind pair + crippled sweep/random tiers: SearchDistinguisher
-  // reports kBoundsExhausted.
-  auto schema = GraphSchema();
-  Structure a = TierZeroBlindA(schema);
-  Structure b = TierZeroBlindB(schema);
+  // Tier-0 blind pair + crippled sweep: SearchDistinguisher reports
+  // kBoundsExhausted.
+  auto schema = blind::PairSchema();
+  Structure a = blind::PairA(schema);
+  Structure b = blind::PairB(schema);
   ASSERT_EQ(CountHoms(a, a), CountHoms(b, a));  // Tier 0 really is blind.
   ASSERT_EQ(CountHoms(a, b), CountHoms(b, b));
   DistinguisherOptions tight = CrippledDistinguisher();
@@ -387,9 +372,9 @@ TEST_F(GovernedTest, DecideSurvivesDistinguisherExhaustion) {
   // instance, under a crippled distinguisher: the verdict (NOT determined)
   // still comes back, no exception escapes, and the missing certificate is
   // explained by exec_status.
-  auto schema = GraphSchema();
-  Structure a = TierZeroBlindA(schema);
-  Structure b = TierZeroBlindB(schema);
+  auto schema = blind::PairSchema();
+  Structure a = blind::PairA(schema);
+  Structure b = blind::PairB(schema);
   ConjunctiveQuery query = BooleanQueryFromStructure("q", DisjointUnion(a, b));
   std::vector<ConjunctiveQuery> views;
   views.push_back(BooleanQueryFromStructure(
@@ -513,11 +498,11 @@ TEST_F(GovernedTest, InjectedCancelMidCanonicalSearch) {
   // q and the relevant views runs the first searches under the governed
   // scope, and the distinguisher's sweep canonicalizes its fresh
   // candidates later. The tier-0 blind pair forces that sweep (its
-  // candidates have domain <= 4, under the caching cutoff), so searches
+  // candidates have domain <= 5, under the caching cutoff), so searches
   // run mid-decide, and the injected cancel lands on the first of them.
-  auto schema = GraphSchema();
-  Structure a = TierZeroBlindA(schema);
-  Structure b = TierZeroBlindB(schema);
+  auto schema = blind::PairSchema();
+  Structure a = blind::PairA(schema);
+  Structure b = blind::PairB(schema);
   ConjunctiveQuery query = BooleanQueryFromStructure("q", DisjointUnion(a, b));
   std::vector<ConjunctiveQuery> views;
   views.push_back(

@@ -135,11 +135,10 @@ TEST(OptionsTest, DistinguisherBoundsArePlumbedThrough) {
   ASSERT_TRUE(generous.counterexample.has_value());
   EXPECT_EQ(VerifyCounterexample(generous.analysis, *generous.counterexample),
             std::nullopt);
-  // Tight bounds still work for this instance because the cheap tier-0
-  // candidates (the structures themselves) already distinguish loop vs
-  // edge — the bounds only gate the exhaustive and random tiers.
+  // A tight sweep bound still works for this instance because the cheap
+  // tier-0 candidates (the structures themselves) already distinguish loop
+  // vs edge — the bound only gates the exhaustive tier.
   options.distinguisher.max_subset_domain = 0;
-  options.distinguisher.random_attempts = 0;
   EXPECT_FALSE(DecideBagDeterminacy({v}, q, options).determined);
   // Isomorphic inputs yield "no distinguisher" irrespective of bounds.
   auto schema = std::make_shared<Schema>();
@@ -150,7 +149,6 @@ TEST(OptionsTest, DistinguisherBoundsArePlumbedThrough) {
   e2.AddFact(0, {1, 0});
   DistinguisherOptions tight;
   tight.max_subset_domain = 0;
-  tight.random_attempts = 0;
   DistinguisherSearch search = SearchDistinguisher(e1, e2, tight);
   EXPECT_EQ(search.outcome, DistinguisherOutcome::kIsomorphic);
   EXPECT_FALSE(search.distinguisher.has_value());

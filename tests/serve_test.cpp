@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "blind_pair.h"
 #include "core/determinacy.h"
 #include "hom/hom.h"
 #include "query/cq.h"
@@ -121,25 +123,18 @@ ServeRequest MakeDeterminedRequest(std::size_t cycle_len) {
   return req;
 }
 
-/// The tier-0 blind pair (see governed_test.cpp) under a crippled
-/// distinguisher: NOT determined, and the counterexample certificate is
-/// unreachable — the deterministic built-in degraded answer.
+/// The tier-0 blind pair (blind_pair.h) under a crippled distinguisher:
+/// NOT determined, and the counterexample certificate is unreachable — the
+/// deterministic built-in degraded answer.
 ServeRequest MakeDistinguisherExhaustedRequest() {
-  auto schema = GraphSchema();
-  Structure a(schema), b(schema);
-  const std::pair<Element, Element> ea[] = {{0, 0}, {0, 1}, {0, 3},
-                                            {1, 1}, {1, 2}, {2, 0}};
-  const std::pair<Element, Element> eb[] = {{0, 0}, {0, 2}, {0, 3},
-                                            {1, 3}, {2, 0}, {2, 2}};
-  for (const auto& [u, v] : ea) a.AddFact(0, {u, v});
-  for (const auto& [u, v] : eb) b.AddFact(0, {u, v});
+  auto schema = blind::PairSchema();
+  Structure a = blind::PairA(schema);
+  Structure b = blind::PairB(schema);
   ServeRequest req;
   req.query = BooleanQueryFromStructure("q", DisjointUnion(a, b));
   req.views.push_back(BooleanQueryFromStructure(
       "v", DisjointUnion(DisjointUnion(a, b), b)));
   req.options.distinguisher.max_subset_domain = 2;
-  req.options.distinguisher.random_attempts = 1;
-  req.options.distinguisher.max_random_domain = 1;
   return req;
 }
 
@@ -336,7 +331,6 @@ TEST_F(ServeTest, RepeatedRequestsHitWarmCache) {
 TEST_F(ServeTest, RotationNeverInvalidatesHeldResults) {
   ServiceOptions opts;
   opts.pool_max_classes = 1;  // Rotate after (essentially) every request.
-  opts.pool_first_block = 8;
   DeterminacyService service(opts);
 
   std::vector<ServeResponse> held;
@@ -362,6 +356,51 @@ TEST_F(ServeTest, RotationNeverInvalidatesHeldResults) {
       EXPECT_EQ(VerifyCounterexample(analysis, *resp.result->counterexample),
                 std::nullopt);
     }
+  }
+}
+
+TEST_F(ServeTest, CacheBytesAloneRotateTheGeneration) {
+  // One request's generation footprint, measured on an idle service.
+  std::uint64_t pool_bytes = 0, cache_bytes = 0, cache_entries = 0;
+  {
+    DeterminacyService probe;
+    ASSERT_EQ(probe.Call(MakeUndeterminedRequest(3)).outcome,
+              ServeOutcome::kAnswered);
+    pool_bytes = probe.stats().pool_bytes;
+    cache_bytes = probe.generation_cache()->ApproxBytes();
+    cache_entries = probe.generation_cache()->stats().entries;
+  }
+  ASSERT_GT(pool_bytes, 0u);
+  ASSERT_GT(cache_bytes, 0u);
+  ASSERT_GT(cache_entries, 0u);
+
+  // The pool alone stays within both budgets; only the memoized counts
+  // and decompositions push the generation over the byte budget.
+  ServiceOptions opts;
+  opts.pool_max_classes = std::size_t{1} << 20;
+  opts.pool_max_bytes = pool_bytes + cache_bytes - 1;
+  DeterminacyService service(opts);
+  constexpr int kRequests = 4;
+  std::vector<ServeResponse> held;
+  for (int i = 0; i < kRequests; ++i) {
+    held.push_back(service.Call(MakeUndeterminedRequest(3)));
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.rotations, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.generation, stats.rotations + 1);
+  // Rotation retires every count entry of each generation.
+  EXPECT_EQ(stats.cache_evictions, kRequests * cache_entries);
+
+  for (ServeResponse& resp : held) {
+    ASSERT_EQ(resp.outcome, ServeOutcome::kAnswered);
+    ASSERT_TRUE(resp.result.has_value());
+    const InstanceAnalysis& analysis = resp.result->analysis;
+    for (StructureRef ref : analysis.basis_refs) {
+      ASSERT_TRUE(analysis.pool->Contains(ref));
+    }
+    ASSERT_TRUE(resp.result->counterexample.has_value());
+    EXPECT_EQ(VerifyCounterexample(analysis, *resp.result->counterexample),
+              std::nullopt);
   }
 }
 
@@ -590,43 +629,54 @@ TEST_F(ServeTest, DefaultThreadCountReadsEnvThenHardware) {
 // --- StructurePool persistent-growth contract -------------------------------
 
 TEST_F(ServeTest, PoolGrowsAcrossBlocksWithoutInvalidatingRefs) {
-  // Tiny first block → growth crosses many directory blocks; concurrent
-  // interns + reads must never observe a moved entry (the directory only
-  // ever publishes new blocks).
-  auto pool = std::make_shared<StructurePool>(/*first_block_size=*/8);
+  // ~1500 classes over 8 shards fill every shard's 64-slot first block and
+  // spill into the next; concurrent interns + reads must never observe a
+  // moved entry (the directory only ever publishes new blocks).
+  auto pool = std::make_shared<StructurePool>();
   auto schema = GraphSchema();
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 40;
+  constexpr int kPerThread = 375;
+  constexpr Element kPathLength = 12;
 
   std::vector<std::vector<StructureRef>> refs(kThreads);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        // Distinct classes: directed path with one marked loop position.
+        // Distinct classes: a rigid directed path with loops on the bit
+        // subset of its index.
+        const int index = t * kPerThread + i;
         Structure s(schema);
-        const Element n = static_cast<Element>(3 + (t * kPerThread + i));
-        for (Element v = 0; v + 1 < n; ++v) s.AddFact(0, {v, v + 1});
-        s.AddFact(0, {0, 0});
+        for (Element v = 0; v + 1 < kPathLength; ++v) s.AddFact(0, {v, v + 1});
+        for (Element v = 0; v < kPathLength; ++v) {
+          if (index & (1 << v)) s.AddFact(0, {v, v});
+        }
         StructureRef ref = pool->Intern(s);
         refs[t].push_back(ref);
         // Read-back under concurrent growth.
         ASSERT_TRUE(pool->Contains(ref));
-        ASSERT_GE(pool->At(ref).DomainSize(), 3u);
+        ASSERT_EQ(pool->At(ref).DomainSize(), kPathLength);
       }
     });
   }
   for (std::thread& w : workers) w.join();
 
   // All refs remain valid and re-interning is a pure hash probe.
+  std::vector<StructureRef> max_local(StructurePool::kNumShards, 0);
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const Structure& rep = pool->At(refs[t][i]);
-      EXPECT_EQ(pool->Intern(rep), refs[t][i]);
+      const StructureRef ref = refs[t][i];
+      const Structure& rep = pool->At(ref);
+      EXPECT_EQ(pool->Intern(rep), ref);
+      StructureRef& local = max_local[ref % StructurePool::kNumShards];
+      local = std::max<StructureRef>(local, ref / StructurePool::kNumShards);
     }
   }
   EXPECT_EQ(pool->size(), static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_GT(pool->ApproxBytes(), 0u);
+  // Every shard crossed from its first block (local indices 0..63) into
+  // the second.
+  for (StructureRef local : max_local) EXPECT_GE(local, 64u);
 }
 
 }  // namespace
