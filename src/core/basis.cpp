@@ -20,26 +20,17 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
   GoodBasisOutcome outcome;
   GoodBasis basis;
 
-  // The pipeline's shared memoized counter; hand-built analyses (tests,
-  // callers that fill InstanceAnalysis manually) get a private one.
-  std::shared_ptr<HomCache> local_cache;
+  // The pipeline's shared memoized counter, in whose pool AnalyzeInstance
+  // interned the basis queries as `basis_refs`.
   HomCache* cache = analysis.hom_cache.get();
   if (cache == nullptr) {
-    local_cache = std::make_shared<HomCache>();
-    cache = local_cache.get();
+    throw std::invalid_argument(
+        "TryBuildGoodBasis: analysis has no hom cache (build it with "
+        "AnalyzeInstance)");
   }
+  const std::vector<StructureRef>& w_refs = analysis.basis_refs;
   DistinguisherOptions dist_options = options;
   if (dist_options.hom_cache == nullptr) dist_options.hom_cache = cache;
-
-  // Refs of the basis queries in the cache's pool. AnalyzeInstance already
-  // interned them; reuse its refs when they belong to this cache.
-  std::vector<StructureRef> w_refs;
-  if (cache == analysis.hom_cache.get() && analysis.basis_refs.size() == k) {
-    w_refs = analysis.basis_refs;
-  } else {
-    w_refs.reserve(k);
-    for (const Structure& wi : w) w_refs.push_back(cache->Intern(wi));
-  }
 
   // Step 1: distinguishers for every pair, deduplicated by interned
   // canonical ref (isomorphic candidates have identical hom counts, so one
@@ -57,7 +48,7 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
         outcome.status.kernel = "distinguisher";
         return outcome;
       }
-      StructureRef ref = cache->pool().Intern(std::move(*search.distinguisher));
+      StructureRef ref = cache->pool().Intern(*search.distinguisher);
       if (std::find(step1_refs.begin(), step1_refs.end(), ref) ==
           step1_refs.end()) {
         step1_refs.push_back(ref);

@@ -52,7 +52,8 @@ struct GoodBasisOutcome {
 /// distinguisher-bound exhaustion as a typed status instead of an
 /// exception. Still throws std::logic_error on internal invariant
 /// violations (a singular evaluation matrix after a successful search —
-/// impossible by construction).
+/// impossible by construction), and std::invalid_argument when the
+/// analysis has no hom cache (one that did not come from AnalyzeInstance).
 GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
                                    const DistinguisherOptions& options);
 

@@ -80,17 +80,13 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
   for (const ConjunctiveQuery& view : views) CheckQueryUsable(view, schema);
   analysis.views = std::move(views);
   analysis.query = std::move(query);
-  if (shared_cache != nullptr) {
-    // Persistent serving mode: intern into the caller's fleet-wide pool and
-    // memoize counts in its cache. Downstream content is identical to the
-    // private-pool path (only the ref values differ), so verdicts and
-    // certificates cannot depend on what other requests populated.
-    analysis.pool = shared_cache->pool_ptr();
-    analysis.hom_cache = std::move(shared_cache);
-  } else {
-    analysis.pool = std::make_shared<StructurePool>();
-    analysis.hom_cache = std::make_shared<HomCache>(analysis.pool);
-  }
+  // Persistent serving mode interns into the caller's fleet-wide pool and
+  // memoizes counts in its cache. Downstream content is identical to the
+  // private-pool path (only the ref values differ), so verdicts and
+  // certificates cannot depend on what other requests populated.
+  analysis.hom_cache = shared_cache != nullptr
+                           ? std::move(shared_cache)
+                           : std::make_shared<HomCache>();
 
   // Definition 25: V = { v : q ⊆set v }, i.e. hom(v, q) ≠ ∅.
   for (std::size_t i = 0; i < analysis.views.size(); ++i) {
@@ -99,45 +95,43 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
     }
   }
 
-  // Definition 27: W = components of Σ_{v ∈ V ∪ {q}} v up to isomorphism.
-  // Canonical-form interning: a component is known iff its pool ref
-  // already has a basis index.
-  // ComponentRefs canonicalizes each body here, on the thread that owns the
-  // analysis, and memoizes its decomposition; views that failed the
-  // containment test above never pay for a canonical form.
-  StructurePool& pool = *analysis.pool;
+  // Definitions 27 and 29: W = components of Σ_{v ∈ V ∪ {q}} v up to
+  // isomorphism, and each body's multiplicity vector over W. Each body's
+  // components are interned once, here, on the thread that owns the
+  // analysis; a component is known iff its pool ref already has a basis
+  // index. Views that failed the containment test above never pay for a
+  // canonical form.
   HomCache& cache = *analysis.hom_cache;
   std::vector<std::size_t> index_of_ref;  // ref → basis index (dense refs).
   constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-  auto add_components = [&](const Structure& frozen) {
+  auto basis_indices = [&](const Structure& frozen) {
+    std::vector<std::size_t> indices;
     for (StructureRef ref : cache.ComponentRefs(frozen)) {
       if (index_of_ref.size() <= ref) index_of_ref.resize(ref + 1, kNoIndex);
-      if (index_of_ref[ref] != kNoIndex) continue;
-      index_of_ref[ref] = analysis.basis_queries.size();
-      analysis.basis_queries.push_back(pool.At(ref));
-      analysis.basis_refs.push_back(ref);
-    }
-  };
-  add_components(analysis.query.FrozenBody());
-  for (std::size_t i : analysis.relevant_views) {
-    add_components(analysis.views[i].FrozenBody());
-  }
-
-  // Definition 29: multiplicity vectors over W, again by interned ref.
-  auto vectorize = [&](const Structure& frozen) {
-    Vec v(analysis.basis_queries.size());
-    for (StructureRef ref : cache.ComponentRefs(frozen)) {
-      if (ref >= index_of_ref.size() || index_of_ref[ref] == kNoIndex) {
-        throw std::logic_error(
-            "AnalyzeInstance: component missing from the interned basis");
+      if (index_of_ref[ref] == kNoIndex) {
+        index_of_ref[ref] = analysis.basis_queries.size();
+        analysis.basis_queries.push_back(cache.pool().At(ref));
+        analysis.basis_refs.push_back(ref);
       }
-      v[index_of_ref[ref]] += Rational(1);
+      indices.push_back(index_of_ref[ref]);
     }
+    return indices;
+  };
+  const std::vector<std::size_t> query_indices =
+      basis_indices(analysis.query.FrozenBody());
+  std::vector<std::vector<std::size_t>> view_indices;
+  for (std::size_t i : analysis.relevant_views) {
+    view_indices.push_back(basis_indices(analysis.views[i].FrozenBody()));
+  }
+  // The vectors' dimension |W| is known only once every body is interned.
+  auto vectorize = [&](const std::vector<std::size_t>& indices) {
+    Vec v(analysis.basis_queries.size());
+    for (std::size_t index : indices) v[index] += Rational(1);
     return v;
   };
-  analysis.query_vector = vectorize(analysis.query.FrozenBody());
-  for (std::size_t i : analysis.relevant_views) {
-    analysis.view_vectors.push_back(vectorize(analysis.views[i].FrozenBody()));
+  analysis.query_vector = vectorize(query_indices);
+  for (const std::vector<std::size_t>& indices : view_indices) {
+    analysis.view_vectors.push_back(vectorize(indices));
   }
   // The analysis is frozen from here on (see determinacy.h): containment
   // decomposed every view body, and interning canonicalized q and the
@@ -196,12 +190,16 @@ GovernedDecision DecideBagDeterminacyGoverned(
 bool CheckWitnessOnStructure(const InstanceAnalysis& analysis,
                              const DeterminacyWitness& witness,
                              const Structure& data) {
-  // Route every count through the pipeline's memoized counter when the
-  // analysis carries one (repeated checks against the same data, or data
-  // sharing components, then cost one count per isomorphism class).
+  // Route every count through the pipeline's memoized counter (repeated
+  // checks against the same data, or data sharing components, then cost
+  // one count per isomorphism class).
   HomCache* cache = analysis.hom_cache.get();
+  if (cache == nullptr) {
+    throw std::invalid_argument(
+        "CheckWitnessOnStructure: analysis has no hom cache (build it with "
+        "AnalyzeInstance)");
+  }
   auto count_on_data = [&](const ConjunctiveQuery& cq) {
-    if (cache == nullptr) return cq.CountHomomorphisms(data);
     // Interning reads the canonical form, which is cold for a view that
     // failed containment: count a private copy (see VerifyCounterexample).
     const Structure body = cq.FrozenBody();

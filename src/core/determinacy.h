@@ -52,17 +52,13 @@ struct InstanceAnalysis {
   /// q⃗.
   Vec query_vector;
 
-  /// Canonical-form interning pool shared by the whole pipeline: every
-  /// component of q and of the relevant views is interned here (views that
-  /// fail containment are not), and `basis_queries[i]` is the
-  /// representative of class `basis_refs[i]`.
-  std::shared_ptr<StructurePool> pool;
-
-  /// Memoized hom counter over `pool`, shared by BuildGoodBasis,
-  /// SearchDistinguisher and CheckWitnessOnStructure.
+  /// Memoized hom counter shared by BuildGoodBasis, SearchDistinguisher
+  /// and CheckWitnessOnStructure. Every component of q and of the relevant
+  /// views is interned in its pool (views that fail containment are not).
   std::shared_ptr<HomCache> hom_cache;
 
-  /// Pool refs of `basis_queries`, index-aligned.
+  /// Pool refs of `basis_queries`, index-aligned: `basis_queries[i]` is the
+  /// representative of class `basis_refs[i]` in `hom_cache->pool()`.
   std::vector<StructureRef> basis_refs;
 };
 
@@ -179,7 +175,9 @@ GovernedDecision DecideBagDeterminacyGoverned(
 /// (Structure's lazy positional index is per-object and unsynchronized).
 /// Count entries and each distinct small `data` (≤
 /// HomCache::kMaxInternDomain elements) stay resident for the analysis's
-/// lifetime; larger data bypasses the cache entirely.
+/// lifetime; larger data bypasses the cache entirely. Throws
+/// std::invalid_argument when the analysis has no hom cache (one that did
+/// not come from AnalyzeInstance).
 bool CheckWitnessOnStructure(const InstanceAnalysis& analysis,
                              const DeterminacyWitness& witness,
                              const Structure& data);

@@ -18,14 +18,6 @@ std::uint64_t CountFootprint(const BigInt& count) {
          2 * sizeof(void*) + count.BitLength() / 8;
 }
 
-/// Approximate resident cost of one component-decomposition memo entry.
-std::uint64_t DecompositionFootprint(const CanonicalKey& key,
-                                     const std::vector<StructureRef>& refs) {
-  return sizeof(std::pair<const CanonicalKey, std::vector<StructureRef>>) +
-         2 * sizeof(void*) + key.bytes.size() +
-         refs.size() * sizeof(StructureRef);
-}
-
 }  // namespace
 
 HomCache::HomCache(std::shared_ptr<StructurePool> pool)
@@ -81,21 +73,16 @@ BigInt HomCache::Count(const Structure& from, const Structure& to) {
   return product;
 }
 
-const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
+std::vector<StructureRef> HomCache::ComponentRefs(const Structure& s) {
   const StructureCanonicalData& data = s.CanonicalData();
-  CanonicalKey whole_key = CanonicalKeyOf(s);
-  std::lock_guard<std::mutex> lock(components_mu_);
-  auto it = components_of_.find(whole_key);
-  if (it != components_of_.end()) return it->second;
+  std::vector<CanonicalKey> keys = ComponentKeysOf(s);
   std::vector<StructureRef> refs;
-  refs.reserve(data.component_certificates.size());
+  refs.reserve(keys.size());
   // Reuse the certificates computed for `s`: a component whose class is
   // new to the pool is copied out of `s`'s cached decomposition as the
   // representative — never a second labeling search.
-  for (std::size_t i = 0; i < data.component_certificates.size(); ++i) {
-    CanonicalKey key = ComponentKeyFromCertificate(
-        s.schema(), data.component_certificates[i]);
-    StructureRef ref = pool_->FindKey(key);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    StructureRef ref = pool_->FindKey(keys[i]);
     if (ref == kInvalidStructureRef) {
       Structure representative = s.Components()[i];
       // Seed the representative's canonical cache so later interns of the
@@ -104,15 +91,12 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
       // is exactly the component key's byte form.
       representative.CacheCanonicalData(
           std::make_shared<const StructureCanonicalData>(StructureCanonicalData{
-              key.bytes, {data.component_certificates[i]}}));
-      ref = pool_->InternWithKey(key, std::move(representative));
+              keys[i].bytes, {data.component_certificates[i]}}));
+      ref = pool_->InternWithKey(keys[i], std::move(representative));
     }
     refs.push_back(ref);
   }
-  bytes_.fetch_add(DecompositionFootprint(whole_key, refs),
-                   std::memory_order_relaxed);
-  return components_of_.emplace(std::move(whole_key), std::move(refs))
-      .first->second;
+  return refs;
 }
 
 HomCache::Stats HomCache::stats() const {

@@ -3,11 +3,11 @@
 // Every layer of the determinacy pipeline reduces to |hom(A, B)| for small
 // A (a basis query or a component of one) against a shared set of targets:
 // the radix-T scan and evaluation matrix of BuildGoodBasis, the candidate
-// sweep of SearchDistinguisher, and witness checking all re-count identical
-// (isomorphism class, isomorphism class) pairs from scratch in the seed
-// path. HomCache interns both sides in a StructurePool (structs/pool.h)
-// and memoizes counts keyed by the (from-ref, to-ref) pair — sound because
-// |hom| is an isomorphism invariant in both arguments.
+// sweep of SearchDistinguisher, and witness checking all meet identical
+// (isomorphism class, isomorphism class) pairs. HomCache interns both
+// sides in a StructurePool (structs/pool.h) and memoizes counts keyed by
+// the (from-ref, to-ref) pair — sound because |hom| is an isomorphism
+// invariant in both arguments.
 //
 // Count(Structure, Structure) decomposes the source into connected
 // components first (Lemma 4(5)), so cache entries are per-(component,
@@ -18,17 +18,15 @@
 //   * The count table is sharded (per-shard mutex). The cache never
 //     evicts: its owner bounds it by retiring the whole cache together
 //     with its pool (generation rotation, src/serve/service.h), which
-//     watches ApproxBytes() — the resident footprint of the counts and of
-//     the component-decomposition memo — next to the pool's own.
+//     watches ApproxBytes() — the resident footprint of the counts — next
+//     to the pool's own.
 //   * Hit/miss/footprint counters are exposed through stats() for tests
 //     and benchmarks.
 //   * Count and ComponentRefs are safe to call concurrently from any
 //     number of threads (the underlying StructurePool is sharded and its
 //     published representatives immutable), which is what the service's
-//     concurrent runners rely on. ComponentRefs' returned reference stays
-//     valid until the cache is destroyed (the memo never erases entries).
-//     The cache itself never starts a thread: each count runs on its
-//     caller's thread.
+//     concurrent runners rely on. The cache itself never starts a thread:
+//     each count runs on its caller's thread.
 
 #ifndef BAGDET_HOM_HOM_CACHE_H_
 #define BAGDET_HOM_HOM_CACHE_H_
@@ -75,13 +73,11 @@ class HomCache {
   /// target would cost more than it saves).
   BigInt Count(const Structure& from, const Structure& to);
 
-  /// Pool refs of the connected components of `s`, in component order —
-  /// memoized per canonical class, and built from the structure's cached
-  /// per-component certificates, so repeated decompositions of pipeline
-  /// objects never re-run the labeling search. Thread-safe; the reference
-  /// is valid until the cache is destroyed (the memo never erases entries;
-  /// its footprint counts toward ApproxBytes()).
-  const std::vector<StructureRef>& ComponentRefs(const Structure& s);
+  /// Pool refs of the connected components of `s`, in component order,
+  /// built from the structure's cached per-component certificates: a
+  /// component whose class is new to the pool is interned without a second
+  /// labeling search. Thread-safe.
+  std::vector<StructureRef> ComponentRefs(const Structure& s);
 
   /// Cache-bypass threshold for the domain size of Count targets.
   static constexpr std::size_t kMaxInternDomain = 256;
@@ -97,9 +93,9 @@ class HomCache {
   };
   Stats stats() const;
 
-  /// Approximate resident footprint of the memoized counts and of the
-  /// component-decomposition memo. Lock-free; owners of long-lived caches
-  /// add it to the pool's ApproxBytes() when deciding generation rotation.
+  /// Approximate resident footprint of the memoized counts. Lock-free;
+  /// owners of long-lived caches add it to the pool's ApproxBytes() when
+  /// deciding generation rotation.
   std::uint64_t ApproxBytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -129,14 +125,7 @@ class HomCache {
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
   std::shared_ptr<StructurePool> pool_;
-  std::atomic<std::uint64_t> bytes_{0};  ///< Counts + components memo.
-
-  // Whole-structure canonical key → component refs. Guarded by
-  // components_mu_; node-based map and never erased, so returned
-  // references stay valid across concurrent inserts.
-  mutable std::mutex components_mu_;
-  std::unordered_map<CanonicalKey, std::vector<StructureRef>, CanonicalKeyHash>
-      components_of_;
+  std::atomic<std::uint64_t> bytes_{0};  ///< Footprint of the counts.
 
   CountShard count_shards_[kNumShards];
 };

@@ -1,9 +1,7 @@
 #include "linalg/gauss.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/bigint.h"
+#include <utility>
 
 namespace bagdet {
 
@@ -14,72 +12,6 @@ namespace {
 /// eliminations below spread across the matrix small.
 std::size_t RationalBitLength(const Rational& value) {
   return value.numerator().BitLength() + value.denominator().BitLength();
-}
-
-/// Folds `d` into a running denominator lcm.
-void FoldLcm(BigInt* lcm, const BigInt& d) {
-  if (d.IsOne()) return;
-  // lcm <- lcm / gcd(lcm, d) * d, divided in place (exact).
-  BigInt::DivMod(*lcm, BigInt::Gcd(*lcm, d), lcm, nullptr);
-  *lcm *= d;
-}
-
-/// Fraction-free Bareiss determinant: clears row denominators, runs
-/// exact-division elimination over Z, and rescales. Intermediate values
-/// are bounded by minors of the cleared matrix — no rational
-/// normalization churn.
-Rational DeterminantBareiss(const Mat& m) {
-  const std::size_t n = m.rows();
-  if (n == 0) return Rational(1);
-
-  // Clear each row's denominators; det(A) = det(cleared) / Π row_lcm.
-  std::vector<BigInt> a(n * n);
-  BigInt denominator_product(1);
-  for (std::size_t r = 0; r < n; ++r) {
-    BigInt lcm(1);
-    for (std::size_t c = 0; c < n; ++c) {
-      FoldLcm(&lcm, m.At(r, c).denominator());
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-      const Rational& q = m.At(r, c);
-      a[r * n + c] = q.numerator() * (lcm / q.denominator());
-    }
-    denominator_product *= lcm;
-  }
-
-  // One-step Bareiss: every division is exact, and intermediates are
-  // bounded by minors of the cleared matrix.
-  BigInt prev(1);
-  bool negate = false;
-  for (std::size_t k = 0; k + 1 < n; ++k) {
-    std::size_t pivot = n;
-    for (std::size_t r = k; r < n; ++r) {
-      if (!a[r * n + k].IsZero()) {
-        pivot = r;
-        break;
-      }
-    }
-    if (pivot == n) return Rational(0);
-    if (pivot != k) {
-      std::swap_ranges(a.begin() + pivot * n, a.begin() + (pivot + 1) * n,
-                       a.begin() + k * n);
-      negate = !negate;
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      for (std::size_t j = k + 1; j < n; ++j) {
-        // a[i][j]·a[k][k] - a[i][k]·a[k][j], fused, divided exactly by the
-        // previous pivot in place (the entry's capacity is recycled).
-        a[i * n + j] *= a[k * n + k];
-        a[i * n + j].MulSub(a[i * n + k], a[k * n + j]);
-        BigInt::DivMod(a[i * n + j], prev, &a[i * n + j], nullptr);
-      }
-      a[i * n + k] = BigInt(0);
-    }
-    prev = a[k * n + k];
-  }
-  BigInt det = std::move(a[n * n - 1]);
-  if (negate) det = -det;
-  return Rational(std::move(det), std::move(denominator_product));
 }
 
 }  // namespace
@@ -134,20 +66,6 @@ Rational Determinant(Mat m) {
     throw std::invalid_argument("Determinant: matrix not square");
   }
   const std::size_t n = m.rows();
-  // Dense-integer case: fraction-free Bareiss keeps every intermediate a
-  // minor-bounded integer instead of a churning rational.
-  if (n >= 2) {
-    bool integral = true;
-    for (std::size_t r = 0; r < n && integral; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        if (!m.At(r, c).IsInteger()) {
-          integral = false;
-          break;
-        }
-      }
-    }
-    if (integral) return DeterminantBareiss(m);
-  }
   Rational det(1);
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t found = n;

@@ -8,8 +8,7 @@
 // entries, evaluation matrices at most 7×7 with ≤256-bit entries), so one
 // path is enough. Rank, IsNonsingular, SolveLinearSystem, NullspaceBasis,
 // TestSpanMembership, OrthogonalWitness and Inverse all build on
-// ReduceToRref; Determinant uses fraction-free Bareiss elimination for
-// integer matrices and plain elimination over Q otherwise.
+// ReduceToRref; Determinant runs forward elimination over Q.
 
 #ifndef BAGDET_LINALG_GAUSS_H_
 #define BAGDET_LINALG_GAUSS_H_
@@ -37,8 +36,7 @@ std::size_t Rank(const Mat& m);
 /// True iff the square matrix is nonsingular.
 bool IsNonsingular(const Mat& m);
 
-/// Determinant of a square matrix. Fraction-free Bareiss elimination for
-/// integer matrices; plain exact elimination over Q otherwise.
+/// Determinant of a square matrix, by exact forward elimination over Q.
 Rational Determinant(Mat m);
 
 /// Inverse of a square nonsingular matrix (Gauss–Jordan on [A | I]);

@@ -174,17 +174,24 @@ std::string ComponentCertificate(const Structure& component) {
   return best;
 }
 
-CanonicalKey ComponentKeyFromCertificate(const Schema& schema,
-                                         const std::string& certificate) {
-  CanonicalKey key;
-  key.schema_digest = SchemaDigest(schema);
-  // A component certificate starts with its domain size.
-  AppendU32(&key.bytes, static_cast<std::uint32_t>(ReadU32(certificate, 0)));
-  AppendU32(&key.bytes, 1);
-  AppendU32(&key.bytes, static_cast<std::uint32_t>(certificate.size()));
-  key.bytes += certificate;
-  key.hash = MixHash(HashBytes(key.bytes), key.schema_digest);
-  return key;
+std::vector<CanonicalKey> ComponentKeysOf(const Structure& s) {
+  const std::vector<std::string>& certificates =
+      s.CanonicalData().component_certificates;
+  const std::uint64_t digest = SchemaDigest(s.schema());
+  std::vector<CanonicalKey> keys(certificates.size());
+  for (std::size_t i = 0; i < certificates.size(); ++i) {
+    const std::string& certificate = certificates[i];
+    CanonicalKey& key = keys[i];
+    key.schema_digest = digest;
+    // A component certificate starts with its domain size.
+    AppendU32(&key.bytes,
+              static_cast<std::uint32_t>(ReadU32(certificate, 0)));
+    AppendU32(&key.bytes, 1);
+    AppendU32(&key.bytes, static_cast<std::uint32_t>(certificate.size()));
+    key.bytes += certificate;
+    key.hash = MixHash(HashBytes(key.bytes), digest);
+  }
+  return keys;
 }
 
 StructureCanonicalData ComputeCanonicalData(const Structure& s) {

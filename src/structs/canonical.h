@@ -109,11 +109,10 @@ CanonicalKey CanonicalKeyOf(const Structure& s);
 /// component has empty domain.
 std::string ComponentCertificate(const Structure& component);
 
-/// Assembles the full CanonicalKey of a single component from its
-/// certificate (as produced by ComponentCertificate) without re-running
-/// the search; equals CanonicalKeyOf(that component).
-CanonicalKey ComponentKeyFromCertificate(const Schema& schema,
-                                         const std::string& certificate);
+/// The canonical keys of s.Components(), index-aligned, assembled from the
+/// cached per-component certificates without re-running the search; the
+/// i-th key equals CanonicalKeyOf(s.Components()[i]).
+std::vector<CanonicalKey> ComponentKeysOf(const Structure& s);
 
 }  // namespace bagdet
 

@@ -96,12 +96,11 @@ StructureRef StructurePool::InternWithKey(const CanonicalKey& key,
 }
 
 StructureRef StructurePool::Intern(const Structure& s) {
-  return InternWithKey(CanonicalKeyOf(s), s);
-}
-
-StructureRef StructurePool::Intern(Structure&& s) {
   CanonicalKey key = CanonicalKeyOf(s);
-  return InternWithKey(key, std::move(s));
+  // Look up first: only a new class pays for copying `s` into the pool.
+  const StructureRef ref = FindKey(key);
+  if (ref != kInvalidStructureRef) return ref;
+  return InternWithKey(key, s);
 }
 
 StructureRef StructurePool::Find(const Structure& s) const {

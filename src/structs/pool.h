@@ -76,10 +76,9 @@ class StructurePool {
 
   /// Interns `s`, returning the ref of its isomorphism class. The first
   /// structure of a class becomes the class representative; later
-  /// isomorphic structures return the existing ref without being stored.
+  /// isomorphic structures return the existing ref without being copied.
   /// Uses the structure's cached canonical form (Structure::CanonicalData).
   StructureRef Intern(const Structure& s);
-  StructureRef Intern(Structure&& s);
 
   /// Interns `s` under an externally computed `key`. The caller guarantees
   /// key == CanonicalKeyOf(s) — used by layers that already hold the

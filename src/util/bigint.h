@@ -17,7 +17,7 @@
 // operands are viewed in place (`MagnitudeSpan`, no copy for either
 // representation), results are computed into per-thread arena scratch and
 // committed back through `CommitSpan`, which reuses the value's retained
-// limb capacity. In steady state loops over big values (Bareiss
+// limb capacity. In steady state loops over big values (exact
 // elimination, the synthesis walk's scaled-inverse products) therefore
 // perform zero heap allocations; the fused `MulAdd`/`MulSub` cover their
 // `x ± a*b` shape without materializing the product as a temporary.
@@ -119,8 +119,9 @@ class BigInt {
 
   /// Fused multiply-accumulate: `*this += a * b` without materializing the
   /// product as a temporary BigInt. This is the shape of the scaled
-  /// inverse products in linalg/cone.cpp and (via MulSub) of the Bareiss
-  /// update; the product and sum run entirely in per-thread arena scratch.
+  /// inverse products in linalg/cone.cpp and (via MulSub) of Rational
+  /// subtraction; the product and sum run entirely in per-thread arena
+  /// scratch.
   /// `a` or `b` may alias `*this`.
   BigInt& MulAdd(const BigInt& a, const BigInt& b);
 

@@ -1,7 +1,7 @@
 // bagdet: span-based limb kernels and the per-thread scratch arena backing
 // BigInt's heap representation.
 //
-// Big-value loops (Bareiss elimination, the counterexample walk's integer
+// Big-value loops (exact elimination, the counterexample walk's integer
 // sign tests) execute many short BigInt operations whose operands hover
 // around a steady-state size. Before this layer existed, every such
 // operation copied its operands into fresh `std::vector` limb buffers and

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/counterexample.h"
 #include "core/distinguisher.h"
 #include "hom/hom.h"
@@ -173,6 +175,18 @@ TEST_F(GoodBasisTest, MatrixNonsingularAndSizesMatch) {
   EXPECT_EQ(basis.structures.size(), k);
   EXPECT_EQ(basis.evaluation.rows(), k);
   EXPECT_TRUE(IsNonsingular(basis.evaluation));
+}
+
+TEST_F(GoodBasisTest, AnalysisWithoutHomCacheIsRejected) {
+  // AnalyzeInstance always sets the cache; an analysis without one is a
+  // caller error.
+  InstanceAnalysis analysis = MakeAnalysis();
+  analysis.hom_cache = nullptr;
+  EXPECT_THROW(TryBuildGoodBasis(analysis, DistinguisherOptions()),
+               std::invalid_argument);
+  EXPECT_THROW(CheckWitnessOnStructure(analysis, DeterminacyWitness(),
+                                       analysis.query.FrozenBody()),
+               std::invalid_argument);
 }
 
 TEST_F(GoodBasisTest, EvaluationMatrixMatchesSymbolicCounts) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <set>
@@ -151,9 +152,29 @@ TEST(ShardedHomCacheTest, FootprintStartsAtZeroAndGrowsWithCounts) {
   EXPECT_EQ(stats.entries, stats.misses);  // Nothing is ever dropped.
   EXPECT_EQ(stats.evictions, 0u);
 
-  // The component-decomposition memo is part of the footprint too.
-  cache.ComponentRefs(DisjointUnion(Path(schema, 3), Cycle(schema, 5)));
-  EXPECT_GT(cache.ApproxBytes(), last);
+  // Decomposing a body interns its component classes in the pool and
+  // stores nothing in the cache. The loop above interned paths of 2..5
+  // elements and cycles of 2..11, so both classes here are new.
+  const Structure body = DisjointUnion(Path(schema, 7), Cycle(schema, 13));
+  const std::size_t classes = cache.pool().size();
+  const std::vector<StructureRef> refs = cache.ComponentRefs(body);
+  ASSERT_EQ(refs.size(), 2u);
+  EXPECT_NE(refs[0], refs[1]);
+  EXPECT_EQ(cache.pool().size(), classes + 2);
+  EXPECT_EQ(cache.ApproxBytes(), last);
+  // A copy and a relabelled copy resolve to the same classes without
+  // growing the pool. Component order follows element order, which a
+  // relabelling may change, so those refs are compared as sets.
+  const Structure copy = body;
+  EXPECT_EQ(cache.ComponentRefs(copy), refs);
+  std::vector<StructureRef> relabelled =
+      cache.ComponentRefs(PermutedCopy(body, &rng));
+  std::vector<StructureRef> sorted = refs;
+  std::sort(relabelled.begin(), relabelled.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(relabelled, sorted);
+  EXPECT_EQ(cache.pool().size(), classes + 2);
+  EXPECT_EQ(cache.ApproxBytes(), last);
 }
 
 TEST(ShardedHomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {

@@ -127,7 +127,7 @@ TEST(DecideTest, IrrelevantViewsAreNeverInterned) {
   EXPECT_EQ(result.witness->exponents, (Vec{Rational(1), Rational(1)}));
 
   // The private pool holds exactly W, the component classes of q, v1, v2.
-  const StructurePool& pool = *result.analysis.pool;
+  const StructurePool& pool = result.analysis.hom_cache->pool();
   EXPECT_EQ(result.analysis.basis_queries.size(), 2u);
   EXPECT_EQ(pool.size(), 2u);
   // The loop (v3, and a component of v5) and the 2-cycle (v4) are not.

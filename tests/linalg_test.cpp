@@ -250,12 +250,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GaussRandomTest,
 //
 // Each operation is checked by a property that does not reuse its own
 // answer: the RREF by its shape and its row space, the inverse by the
-// product, the rank by the determinant (Bareiss on integer matrices,
-// forward elimination otherwise), solutions and kernel vectors by
-// substitution. The matrices come from the
-// shared generators in tests/test_matrices.h; BAGDET_DIFF_ITERS scales the
-// case counts, and a failing case's seed is appended to
-// BAGDET_FAIL_SEED_FILE.
+// product, the rank by the determinant (and the determinant by its
+// scaling identity), solutions and kernel vectors by substitution. The
+// matrices come from the shared generators in tests/test_matrices.h;
+// BAGDET_DIFF_ITERS scales the case counts, and a failing case's seed is
+// appended to BAGDET_FAIL_SEED_FILE.
 
 /// Draws one matrix from the regime `regime` (0..3): small rationals,
 /// 128-bit low-rank integers, Hilbert-like, sparse. All are at most 7×7,
@@ -369,9 +368,9 @@ TEST(GaussOracleTest, EntryPointsSatisfyIndependentOracles) {
   }
 }
 
-TEST(GaussOracleTest, BareissDeterminantMatchesExact) {
-  // An integer matrix takes the Bareiss path; A/2 has a half-integer entry
-  // and takes plain elimination over Q. det(A) = 2^n · det(A/2).
+TEST(GaussOracleTest, DeterminantScalesByTwoToTheN) {
+  // det(A) = 2^n · det(A/2); A is integral with an odd corner, so A/2 has
+  // a half-integer entry.
   const Rational half = Q(1, 2);
   Rng rng(7);
   const int iters = 60 * testmat::DiffIterScale();

@@ -349,8 +349,8 @@ TEST_F(ServeTest, RotationNeverInvalidatesHeldResults) {
     ASSERT_TRUE(resp.result.has_value());
     const InstanceAnalysis& analysis = resp.result->analysis;
     for (StructureRef ref : analysis.basis_refs) {
-      ASSERT_TRUE(analysis.pool->Contains(ref));
-      analysis.pool->At(ref);  // Must not fault.
+      ASSERT_TRUE(analysis.hom_cache->pool().Contains(ref));
+      analysis.hom_cache->pool().At(ref);  // Must not fault.
     }
     if (resp.result->counterexample.has_value()) {
       EXPECT_EQ(VerifyCounterexample(analysis, *resp.result->counterexample),
@@ -396,7 +396,7 @@ TEST_F(ServeTest, CacheBytesAloneRotateTheGeneration) {
     ASSERT_TRUE(resp.result.has_value());
     const InstanceAnalysis& analysis = resp.result->analysis;
     for (StructureRef ref : analysis.basis_refs) {
-      ASSERT_TRUE(analysis.pool->Contains(ref));
+      ASSERT_TRUE(analysis.hom_cache->pool().Contains(ref));
     }
     ASSERT_TRUE(resp.result->counterexample.has_value());
     EXPECT_EQ(VerifyCounterexample(analysis, *resp.result->counterexample),
