@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
@@ -58,15 +59,28 @@ constexpr int kRandomAttempts = 512;
 constexpr std::size_t kMaxRandomDomain = 4;
 constexpr std::uint64_t kRandomSeed = 17;
 
+/// The two structures under comparison, each with its component refs
+/// keyed once per search rather than once per candidate.
+struct Pair {
+  const Structure& a;
+  const Structure& b;
+  std::vector<StructureRef> a_refs;
+  std::vector<StructureRef> b_refs;
+};
+
 /// True iff `candidate` separates the counts of a and b. Tier-0
 /// candidates (the inputs themselves) pass `cached = true`: the
-/// isomorphism pre-check interned them already.
-bool Distinguishes(const Structure& a, const Structure& b,
-                   const Structure& candidate, HomCache& cache, bool cached) {
-  if (cached || candidate.DomainSize() <= kMaxCachedCandidateDomain) {
-    return cache.Count(a, candidate) != cache.Count(b, candidate);
+/// isomorphism pre-check interned them already, so only the cache's own
+/// domain bound applies to them.
+bool Distinguishes(const Pair& pair, const Structure& candidate,
+                   HomCache& cache, bool cached) {
+  const std::size_t cache_limit =
+      cached ? HomCache::kMaxInternDomain : kMaxCachedCandidateDomain;
+  if (candidate.DomainSize() <= cache_limit) {
+    const StructureRef to = cache.Intern(candidate);
+    return cache.Count(pair.a_refs, to) != cache.Count(pair.b_refs, to);
   }
-  return CountHoms(a, candidate) != CountHoms(b, candidate);
+  return CountHoms(pair.a, candidate) != CountHoms(pair.b, candidate);
 }
 
 }  // namespace
@@ -79,11 +93,12 @@ DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
   if (cache.pool().Intern(a) == cache.pool().Intern(b)) {
     return {DistinguisherOutcome::kIsomorphic, std::nullopt};
   }
+  const Pair pair{a, b, cache.ComponentRefs(a), cache.ComponentRefs(b)};
   // Tier 0: the structures themselves (frequent cheap winners).
-  if (Distinguishes(a, b, a, cache, true)) {
+  if (Distinguishes(pair, a, cache, true)) {
     return {DistinguisherOutcome::kFound, a};
   }
-  if (Distinguishes(a, b, b, cache, true)) {
+  if (Distinguishes(pair, b, cache, true)) {
     return {DistinguisherOutcome::kFound, b};
   }
   // Tier 1: the complete induced-substructure family (see header). The
@@ -97,7 +112,7 @@ DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
     for (std::uint64_t mask = 0; mask < limit; ++mask) {
       ExecCheckPoint("distinguisher.sweep");
       Structure candidate = InducedSubstructure(*side, mask);
-      if (Distinguishes(a, b, candidate, cache, false)) {
+      if (Distinguishes(pair, candidate, cache, false)) {
         return {DistinguisherOutcome::kFound, std::move(candidate)};
       }
     }
@@ -117,7 +132,7 @@ DistinguisherSearch SearchDistinguisher(const Structure& a, const Structure& b,
     ExecCheckPoint("distinguisher.sweep");
     std::size_t domain = 1 + rng.Below(kMaxRandomDomain);
     Structure candidate = RandomStructure(a.schema_ptr(), domain, &rng);
-    if (Distinguishes(a, b, candidate, cache, false)) {
+    if (Distinguishes(pair, candidate, cache, false)) {
       return {DistinguisherOutcome::kFound, std::move(candidate)};
     }
   }

@@ -1,5 +1,6 @@
 #include "hom/hom_cache.h"
 
+#include <memory>
 #include <utility>
 
 #include "hom/hom.h"
@@ -19,9 +20,6 @@ std::uint64_t CountFootprint(const BigInt& count) {
 }
 
 }  // namespace
-
-HomCache::HomCache(std::shared_ptr<StructurePool> pool)
-    : pool_(pool ? std::move(pool) : std::make_shared<StructurePool>()) {}
 
 void HomCache::InsertCount(CountShard& shard, std::uint64_t key,
                            const BigInt& count) {
@@ -49,24 +47,28 @@ BigInt HomCache::Count(StructureRef from, StructureRef to) {
     }
     ++shard.misses;
   }
-  BigInt count = CountHoms(pool_->At(from), pool_->At(to));
+  BigInt count = CountHoms(pool_.At(from), pool_.At(to));
   InsertCount(shard, key, count);
   return count;
 }
 
 BigInt HomCache::Count(StructureRef from, const Structure& to) {
   if (to.DomainSize() > kMaxInternDomain) {
-    return CountHoms(pool_->At(from), to);
+    return CountHoms(pool_.At(from), to);
   }
-  return Count(from, pool_->Intern(to));
+  return Count(from, pool_.Intern(to));
 }
 
 BigInt HomCache::Count(const Structure& from, const Structure& to) {
   if (to.DomainSize() > kMaxInternDomain) return CountHoms(from, to);
-  const StructureRef to_ref = pool_->Intern(to);
+  return Count(ComponentRefs(from), pool_.Intern(to));
+}
+
+BigInt HomCache::Count(const std::vector<StructureRef>& from_components,
+                       StructureRef to) {
   BigInt product(1);
-  for (StructureRef ref : ComponentRefs(from)) {
-    BigInt count = Count(ref, to_ref);
+  for (StructureRef ref : from_components) {
+    BigInt count = Count(ref, to);
     if (count.IsZero()) return BigInt(0);
     product *= count;
   }
@@ -82,7 +84,7 @@ std::vector<StructureRef> HomCache::ComponentRefs(const Structure& s) {
   // new to the pool is copied out of `s`'s cached decomposition as the
   // representative — never a second labeling search.
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    StructureRef ref = pool_->FindKey(keys[i]);
+    StructureRef ref = pool_.FindKey(keys[i]);
     if (ref == kInvalidStructureRef) {
       Structure representative = s.Components()[i];
       // Seed the representative's canonical cache so later interns of the
@@ -92,7 +94,7 @@ std::vector<StructureRef> HomCache::ComponentRefs(const Structure& s) {
       representative.CacheCanonicalData(
           std::make_shared<const StructureCanonicalData>(StructureCanonicalData{
               keys[i].bytes, {data.component_certificates[i]}}));
-      ref = pool_->InternWithKey(keys[i], std::move(representative));
+      ref = pool_.InternWithKey(keys[i], std::move(representative));
     }
     refs.push_back(ref);
   }

@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -47,16 +46,13 @@ namespace bagdet {
 
 class HomCache {
  public:
-  /// Wraps an existing pool (shared with other pipeline stages), or
-  /// creates a private one when `pool` is null.
-  explicit HomCache(std::shared_ptr<StructurePool> pool = nullptr);
+  /// The cache owns its pool; pipeline stages that intern structures
+  /// reach it through pool().
+  StructurePool& pool() { return pool_; }
+  const StructurePool& pool() const { return pool_; }
 
-  StructurePool& pool() { return *pool_; }
-  const StructurePool& pool() const { return *pool_; }
-  const std::shared_ptr<StructurePool>& pool_ptr() const { return pool_; }
-
-  /// Interns `s` into the shared pool and returns its class ref.
-  StructureRef Intern(const Structure& s) { return pool_->Intern(s); }
+  /// Interns `s` into the cache's pool and returns its class ref.
+  StructureRef Intern(const Structure& s) { return pool_.Intern(s); }
 
   /// |hom(from, to)| for two interned classes, memoized.
   BigInt Count(StructureRef from, StructureRef to);
@@ -65,6 +61,13 @@ class HomCache {
   /// target (interned via its cached canonical form; targets beyond
   /// kMaxInternDomain bypass the cache like the two-Structure overload).
   BigInt Count(StructureRef from, const Structure& to);
+
+  /// |hom(from, to)| for a source given by its component refs (as
+  /// ComponentRefs returns them): the product of memoized per-component
+  /// counts (Lemma 4(5)). Lets a caller that counts one source against
+  /// many targets key the source once.
+  BigInt Count(const std::vector<StructureRef>& from_components,
+               StructureRef to);
 
   /// |hom(from, to)| for arbitrary structures: decomposes `from` into
   /// connected components, interns each side, and multiplies memoized
@@ -124,7 +127,7 @@ class HomCache {
   /// Memoizes a freshly computed count under the shard lock.
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
-  std::shared_ptr<StructurePool> pool_;
+  StructurePool pool_;
   std::atomic<std::uint64_t> bytes_{0};  ///< Footprint of the counts.
 
   CountShard count_shards_[kNumShards];

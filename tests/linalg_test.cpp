@@ -2,6 +2,7 @@
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
+#include "reference/oracles.h"
 #include "test_matrices.h"
 #include "util/rng.h"
 
@@ -339,7 +340,9 @@ void CheckAgainstOracles(const Mat& a, Rng* rng) {
     return;
   }
   const std::size_t n = a.rows();
-  const bool det_nonzero = !Determinant(a).IsZero();
+  const Rational det = Determinant(a);
+  if (n <= 10) EXPECT_EQ(det, reference::CofactorDeterminant(a));
+  const bool det_nonzero = !det.IsZero();
   EXPECT_EQ(IsNonsingular(a), rank == n);
   EXPECT_EQ(det_nonzero, rank == n);
   const std::optional<Mat> inv = Inverse(a);
@@ -370,7 +373,8 @@ TEST(GaussOracleTest, EntryPointsSatisfyIndependentOracles) {
 
 TEST(GaussOracleTest, DeterminantScalesByTwoToTheN) {
   // det(A) = 2^n · det(A/2); A is integral with an odd corner, so A/2 has
-  // a half-integer entry.
+  // a half-integer entry. det(A) itself is checked against the cofactor
+  // expansion of tests/reference/oracles.h.
   const Rational half = Q(1, 2);
   Rng rng(7);
   const int iters = 60 * testmat::DiffIterScale();
@@ -395,6 +399,7 @@ TEST(GaussOracleTest, DeterminantScalesByTwoToTheN) {
     }
     const Rational det = Determinant(a);
     EXPECT_TRUE(det.IsInteger());
+    EXPECT_EQ(det, reference::CofactorDeterminant(a)) << "case " << i;
     EXPECT_EQ(det,
               Determinant(scaled) * Rational(BigInt::Pow(BigInt(2), n)))
         << "case " << i;

@@ -6,7 +6,9 @@
 // Structure::Facts(), DomainSize() and the public EnumerateHoms. None of
 // them reads a canonical form or a refinement result: this header must
 // not include structs/canonical.h or structs/refinement.h, so a
-// differential test never compares a library function with itself.
+// differential test never compares a library function with itself. The
+// determinant oracle likewise reads only Mat entries and Rational
+// arithmetic, never linalg/gauss.h.
 // Query-sized inputs only; every oracle is exponential somewhere.
 // Header-only, no gtest dependency.
 
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "hom/hom.h"
+#include "linalg/matrix.h"
 #include "structs/structure.h"
 #include "util/bigint.h"
 
@@ -242,6 +245,32 @@ inline bool ColorRefinementDistinguishes(const Structure& a,
   if (a.schema() != b.schema()) return true;
   return reference::RefineColors(a).rounds !=
          reference::RefineColors(b).rounds;
+}
+
+/// det(m) of a square matrix by cofactor expansion along the last row,
+/// memoized over column subsets: minor[mask] is the determinant of rows
+/// 0..|mask|-1 restricted to the columns in `mask`. O(n·2^n) Rational
+/// products, so at most 20 rows.
+inline Rational CofactorDeterminant(const Mat& m) {
+  const std::size_t n = m.rows();
+  std::vector<Rational> minor(std::size_t{1} << n);
+  minor[0] = Rational(1);
+  for (std::size_t mask = 1; mask < minor.size(); ++mask) {
+    std::size_t row = 0;  // |mask| - 1: the row being expanded.
+    for (std::size_t bits = mask; bits != 0; bits &= bits - 1) ++row;
+    --row;
+    Rational det;
+    std::size_t greater = 0;  // Columns of `mask` above column c.
+    for (std::size_t c = n; c-- > 0;) {
+      if (!(mask & (std::size_t{1} << c))) continue;
+      const Rational term =
+          m.At(row, c) * minor[mask & ~(std::size_t{1} << c)];
+      det = greater % 2 == 0 ? det + term : det - term;
+      ++greater;
+    }
+    minor[mask] = det;
+  }
+  return minor.back();
 }
 
 }  // namespace reference
