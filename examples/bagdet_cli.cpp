@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,14 +68,14 @@ int RunCqMode(const std::string& text, const bagdet::ExecLimits& limits) {
   DeterminacyResult result;
   if (limits.deadline_ms != 0 || limits.max_memory_bytes != 0) {
     ExecContext exec(limits);
-    GovernedDecision decision =
-        DecideBagDeterminacyGoverned(rules, query, DeterminacyOptions(), exec);
-    if (!decision.result.has_value()) {
-      std::cout << "execution limit tripped: " << decision.status.ToString()
-                << "\n";
+    ExecStatus status;
+    std::optional<DeterminacyResult> decision = RunGoverned(
+        exec, &status, [&] { return DecideBagDeterminacy(rules, query); });
+    if (!decision.has_value()) {
+      std::cout << "execution limit tripped: " << status.ToString() << "\n";
       return 3;
     }
-    result = std::move(*decision.result);
+    result = std::move(*decision);
   } else {
     result = DecideBagDeterminacy(rules, query);
   }

@@ -1,5 +1,6 @@
 #include "core/determinacy.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -98,22 +99,22 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
   // Definitions 27 and 29: W = components of Σ_{v ∈ V ∪ {q}} v up to
   // isomorphism, and each body's multiplicity vector over W. Each body's
   // components are interned once, here, on the thread that owns the
-  // analysis; a component is known iff its pool ref already has a basis
-  // index. Views that failed the containment test above never pay for a
-  // canonical form.
+  // analysis; a component is known iff its pool ref is already in
+  // basis_refs, whose position is its basis index. The search is over the
+  // analysis's own few classes, not the (possibly shared) pool. Views that
+  // failed the containment test above never pay for a canonical form.
   HomCache& cache = *analysis.hom_cache;
-  std::vector<std::size_t> index_of_ref;  // ref → basis index (dense refs).
-  constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+  std::vector<StructureRef>& refs = analysis.basis_refs;
   auto basis_indices = [&](const Structure& frozen) {
     std::vector<std::size_t> indices;
     for (StructureRef ref : cache.ComponentRefs(frozen)) {
-      if (index_of_ref.size() <= ref) index_of_ref.resize(ref + 1, kNoIndex);
-      if (index_of_ref[ref] == kNoIndex) {
-        index_of_ref[ref] = analysis.basis_queries.size();
+      const std::size_t index = static_cast<std::size_t>(
+          std::find(refs.begin(), refs.end(), ref) - refs.begin());
+      if (index == refs.size()) {
         analysis.basis_queries.push_back(cache.pool().At(ref));
-        analysis.basis_refs.push_back(ref);
+        refs.push_back(ref);
       }
-      indices.push_back(index_of_ref[ref]);
+      indices.push_back(index);
     }
     return indices;
   };
@@ -172,19 +173,6 @@ DeterminacyResult DecideBagDeterminacy(std::vector<ConjunctiveQuery> views,
     }
   }
   return result;
-}
-
-GovernedDecision DecideBagDeterminacyGoverned(
-    std::vector<ConjunctiveQuery> views, ConjunctiveQuery query,
-    const DeterminacyOptions& options, ExecContext& exec) {
-  GovernedDecision out;
-  std::optional<DeterminacyResult> result =
-      RunGoverned(exec, &out.status, [&] {
-        return DecideBagDeterminacy(std::move(views), std::move(query),
-                                    options);
-      });
-  if (result.has_value()) out.result = std::move(*result);
-  return out;
 }
 
 bool CheckWitnessOnStructure(const InstanceAnalysis& analysis,

@@ -149,20 +149,6 @@ DeterminacyResult DecideBagDeterminacy(
     std::vector<ConjunctiveQuery> views, ConjunctiveQuery query,
     const DeterminacyOptions& options = DeterminacyOptions());
 
-/// DecideBagDeterminacy under an execution context — the whole pipeline
-/// (analysis, span test, basis construction, counterexample synthesis)
-/// runs governed. `result` is engaged iff `status.ok()`; when engaged it
-/// is bit-identical to the ungoverned result (including its exec_status
-/// field, which records in-budget declines such as distinguisher
-/// exhaustion).
-struct GovernedDecision {
-  ExecStatus status;
-  std::optional<DeterminacyResult> result;
-};
-GovernedDecision DecideBagDeterminacyGoverned(
-    std::vector<ConjunctiveQuery> views, ConjunctiveQuery query,
-    const DeterminacyOptions& options, ExecContext& exec);
-
 /// Checks the witness formula on one concrete structure:
 /// returns true iff q(D) matches Π v_j(D)^α_j (or 0 when some v_j(D) = 0).
 /// Exact; rational exponents are handled by checking the cleared-denominator
@@ -170,8 +156,8 @@ GovernedDecision DecideBagDeterminacyGoverned(
 ///
 /// Counts route through the analysis's shared HomCache (as does
 /// VerifyCounterexample): repeated checks are memoized. The cache and its
-/// sharded pool are thread-safe, so concurrent checks on the *same*
-/// analysis are supported — each thread just needs its own `data` object
+/// pool are thread-safe, so concurrent checks on the *same* analysis are
+/// supported — each thread just needs its own `data` object
 /// (Structure's lazy positional index is per-object and unsynchronized).
 /// Count entries and each distinct small `data` (≤
 /// HomCache::kMaxInternDomain elements) stay resident for the analysis's

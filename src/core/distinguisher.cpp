@@ -77,7 +77,7 @@ bool Distinguishes(const Pair& pair, const Structure& candidate,
   const std::size_t cache_limit =
       cached ? HomCache::kMaxInternDomain : kMaxCachedCandidateDomain;
   if (candidate.DomainSize() <= cache_limit) {
-    const StructureRef to = cache.Intern(candidate);
+    const StructureRef to = cache.pool().Intern(candidate);
     return cache.Count(pair.a_refs, to) != cache.Count(pair.b_refs, to);
   }
   return CountHoms(pair.a, candidate) != CountHoms(pair.b, candidate);

@@ -21,34 +21,26 @@ std::uint64_t CountFootprint(const BigInt& count) {
 
 }  // namespace
 
-void HomCache::InsertCount(CountShard& shard, std::uint64_t key,
-                           const BigInt& count) {
-  // Injected faults here must land before the shard is touched: an
-  // aborted insert unwinds without the memoization, and a rerun
-  // recomputes and re-inserts cleanly.
-  BAGDET_FAILPOINT("homcache/insert");
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // A raced insert of the same pair finds the entry and changes nothing.
-  if (shard.counts.emplace(key, count).second) {
-    bytes_.fetch_add(CountFootprint(count), std::memory_order_relaxed);
-  }
-}
-
 BigInt HomCache::Count(StructureRef from, StructureRef to) {
   ExecCheckPoint("homcache.count");
   const std::uint64_t key = PairKey(from, to);
-  CountShard& shard = count_shards_[ShardIndex(key)];
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.counts.find(key);
-    if (it != shard.counts.end()) {
-      ++shard.hits;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = counts_.find(key);
+    if (it != counts_.end()) {
+      ++hits_;
       return it->second;
     }
-    ++shard.misses;
+    ++misses_;
   }
   BigInt count = CountHoms(pool_.At(from), pool_.At(to));
-  InsertCount(shard, key, count);
+  // Injected faults here must land before the table is touched: an
+  // aborted insert unwinds without the memoization, and a rerun
+  // recomputes and re-inserts cleanly.
+  BAGDET_FAILPOINT("homcache/insert");
+  std::lock_guard<std::mutex> lock(mu_);
+  // A raced insert of the same pair finds the entry and changes nothing.
+  if (counts_.emplace(key, count).second) bytes_ += CountFootprint(count);
   return count;
 }
 
@@ -102,15 +94,18 @@ std::vector<StructureRef> HomCache::ComponentRefs(const Structure& s) {
 }
 
 HomCache::Stats HomCache::stats() const {
-  Stats total;
-  for (const CountShard& shard : count_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.hits;
-    total.misses += shard.misses;
-    total.entries += shard.counts.size();
-  }
-  total.bytes = ApproxBytes();
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats stats;
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.entries = counts_.size();
+  stats.bytes = bytes_;
+  return stats;
+}
+
+std::uint64_t HomCache::ApproxBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 }  // namespace bagdet

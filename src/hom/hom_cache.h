@@ -15,27 +15,26 @@
 // component.
 //
 // Serving-tier behavior:
-//   * The count table is sharded (per-shard mutex). The cache never
-//     evicts: its owner bounds it by retiring the whole cache together
-//     with its pool (generation rotation, src/serve/service.h), which
-//     watches ApproxBytes() — the resident footprint of the counts — next
-//     to the pool's own.
+//   * One mutex guards the count table, the hit and miss counters and the
+//     byte total; a count itself runs outside it. The cache never evicts:
+//     its owner bounds it by retiring the whole cache together with its
+//     pool (generation rotation, src/serve/service.h), which watches
+//     ApproxBytes() — the resident footprint of the counts — next to the
+//     pool's own.
 //   * Hit/miss/footprint counters are exposed through stats() for tests
 //     and benchmarks.
 //   * Count and ComponentRefs are safe to call concurrently from any
-//     number of threads (the underlying StructurePool is sharded and its
-//     published representatives immutable), which is what the service's
-//     concurrent runners rely on. The cache itself never starts a thread:
-//     each count runs on its caller's thread.
+//     number of threads (the underlying StructurePool is thread-safe and
+//     its published representatives immutable), which is what the
+//     service's concurrent runners rely on. The cache itself never starts
+//     a thread: each count runs on its caller's thread.
 
 #ifndef BAGDET_HOM_HOM_CACHE_H_
 #define BAGDET_HOM_HOM_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "structs/pool.h"
@@ -50,9 +49,6 @@ class HomCache {
   /// reach it through pool().
   StructurePool& pool() { return pool_; }
   const StructurePool& pool() const { return pool_; }
-
-  /// Interns `s` into the cache's pool and returns its class ref.
-  StructureRef Intern(const Structure& s) { return pool_.Intern(s); }
 
   /// |hom(from, to)| for two interned classes, memoized.
   BigInt Count(StructureRef from, StructureRef to);
@@ -96,41 +92,24 @@ class HomCache {
   };
   Stats stats() const;
 
-  /// Approximate resident footprint of the memoized counts. Lock-free;
-  /// owners of long-lived caches add it to the pool's ApproxBytes() when
-  /// deciding generation rotation.
-  std::uint64_t ApproxBytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  /// Approximate resident footprint of the memoized counts. Owners of
+  /// long-lived caches add it to the pool's ApproxBytes() when deciding
+  /// generation rotation.
+  std::uint64_t ApproxBytes() const;
 
  private:
-  static constexpr std::size_t kNumShards = 8;
-
   static std::uint64_t PairKey(StructureRef from, StructureRef to) {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
-  static std::size_t ShardIndex(std::uint64_t key) {
-    // Avalanche so nearby refs spread; low bits index the shard.
-    key ^= key >> 33;
-    key *= 0xff51afd7ed558ccdull;
-    key ^= key >> 33;
-    return static_cast<std::size_t>(key) & (kNumShards - 1);
-  }
-
-  struct CountShard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, BigInt> counts;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-
-  /// Memoizes a freshly computed count under the shard lock.
-  void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
   StructurePool pool_;
-  std::atomic<std::uint64_t> bytes_{0};  ///< Footprint of the counts.
 
-  CountShard count_shards_[kNumShards];
+  mutable std::mutex mu_;
+  // All guarded by mu_.
+  std::unordered_map<std::uint64_t, BigInt> counts_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t bytes_ = 0;  ///< Footprint of the counts.
 };
 
 }  // namespace bagdet

@@ -99,7 +99,7 @@ BigInt CountHomsSymbolic(const Structure& from, const StructureExpr& expr,
                          HomCache* cache, SymbolicMemo* memo) {
   CheckSymbolicSource(from);
   if (cache != nullptr) {
-    return EvalRef(cache->Intern(from), expr, cache, memo);
+    return EvalRef(cache->pool().Intern(from), expr, cache, memo);
   }
   return Eval(
       expr,

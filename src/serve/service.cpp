@@ -183,10 +183,9 @@ ServeResponse DeterminacyService::Execute(
       BAGDET_FAILPOINT("serve/dispatch");
       // Copies in: a faulted attempt must leave the request intact for
       // the retry, so the views/query are never moved from.
-      GovernedDecision decision = DecideBagDeterminacyGoverned(
-          request.views, request.query, opts, exec);
-      status = std::move(decision.status);
-      result = std::move(decision.result);
+      result = RunGoverned(exec, &status, [&] {
+        return DecideBagDeterminacy(request.views, request.query, opts);
+      });
     } catch (const std::bad_alloc&) {
       status = ExecStatus{ExecCode::kResourceExhausted, "serve/dispatch", 0,
                           MsSince(t0)};

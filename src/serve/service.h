@@ -15,12 +15,12 @@
 //     service rate, instead of queueing without bound. Accepted requests
 //     always terminate in exactly one typed outcome.
 //   * Execution: each request runs as a governed decision
-//     (DecideBagDeterminacyGoverned) under its own per-request ExecLimits
-//     on one of a fixed set of service runner threads. One thread runs
-//     one decision start to finish; concurrency comes from running many
-//     requests at once, never from fanning out inside one. A no-limits
-//     single request through the service is bit-identical to a direct
-//     DecideBagDeterminacy call.
+//     (RunGoverned over DecideBagDeterminacy) under its own per-request
+//     ExecLimits on one of a fixed set of service runner threads. One
+//     thread runs one decision start to finish; concurrency comes from
+//     running many requests at once, never from fanning out inside one. A
+//     no-limits single request through the service is bit-identical to a
+//     direct DecideBagDeterminacy call.
 //   * Retry: transiently-declined work — a native or failpoint-injected
 //     std::bad_alloc ("alloc" / "serve/dispatch" kernels) — retries with
 //     bounded exponential backoff. Deterministic declines (a memory budget
@@ -38,9 +38,9 @@
 //     submissions shed with kernel "serve/shutdown") and blocks until
 //     every accepted request has produced its outcome.
 //
-// Persistent state. The service owns a StructurePool and a sharded
-// HomCache shared by every request — overlapping view sets hit warm
-// interned classes and memoized counts across the stream. Retention is
+// Persistent state. The service owns a StructurePool and a HomCache
+// shared by every request — overlapping view sets hit warm interned
+// classes and memoized counts across the stream. Retention is
 // generation-based and is the only retention rule: once the pool exceeds
 // its class budget, or pool and cache together exceed the byte budget, the
 // service retires the whole generation and starts a fresh pool + cache.

@@ -30,68 +30,42 @@ std::uint64_t ProjectedFootprintBytes(const CanonicalKey& key,
 
 }  // namespace
 
-StructurePool::~StructurePool() {
-  for (Shard& shard : shards_) {
-    for (std::size_t b = 0; b < kMaxBlocks; ++b) {
-      Slot* block = shard.blocks[b].load(std::memory_order_acquire);
-      if (block == nullptr) continue;
-      const std::size_t size = kFirstBlockSize << b;
-      for (std::size_t i = 0; i < size; ++i) {
-        delete block[i].load(std::memory_order_acquire);
-      }
-      delete[] block;
-    }
-  }
-}
-
 StructureRef StructurePool::InternWithKey(const CanonicalKey& key,
                                           Structure s) {
-  const std::size_t shard_id = ShardOf(key);
-  Shard& shard = shards_[shard_id];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(key);
-  if (it != shard.by_key.end()) return it->second;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = by_key_.find(key);
+  if (it != by_key_.end()) return it->second;
 
-  const std::uint32_t local = shard.count.load(std::memory_order_relaxed);
-  std::size_t block_index, offset;
-  Locate(local, &block_index, &offset);
-  if (block_index >= kMaxBlocks) {
-    throw std::length_error("StructurePool: shard capacity exhausted");
+  if (structures_.size() >= kInvalidStructureRef) {
+    throw std::length_error("StructurePool: ref space exhausted");
   }
   // Admission control: account the projected footprint against the
-  // governing request *before* any pool state is created, so a rejected
-  // intern leaves the shard exactly as it was (the lock_guard unwinds the
-  // mutex; by_key, the blocks, count and bytes are untouched).
+  // governing request *before* any pool state changes, so a rejected
+  // intern leaves the pool exactly as it was.
   const std::uint64_t footprint = ProjectedFootprintBytes(key, s);
   if (ExecContext* ctx = CurrentExecContext()) {
     ctx->Charge(footprint, "pool.intern");
   }
   BAGDET_FAILPOINT("pool/intern");
-  std::unique_ptr<Entry> entry(new Entry{key, std::move(s)});
-  // Freeze the representative before publication: once readers can reach
-  // the entry lock-free, its lazy caches must never be (re)built. The
+  // Freeze the representative before its ref can be found: once other
+  // threads can reach it, its lazy caches must never be (re)built. The
   // canonical form is already cached (key computation or the caller's
   // certificate reuse); the positional index and the components are
   // warmed here.
-  entry->structure.Index();
-  entry->structure.Components();
+  s.Index();
+  s.Components();
 
-  // Directory growth publishes a fresh block and never touches previous
-  // blocks, so concurrent lock-free readers of already-published refs are
-  // unaffected no matter how large a persistent pool grows.
-  Slot* block = shard.blocks[block_index].load(std::memory_order_acquire);
-  if (block == nullptr) {
-    block = new Slot[kFirstBlockSize << block_index]();
-    shard.blocks[block_index].store(block, std::memory_order_release);
+  const StructureRef ref = static_cast<StructureRef>(structures_.size());
+  // Both inserts have the strong guarantee; undoing the first if the
+  // second throws keeps a failed intern from changing the pool.
+  structures_.push_back(std::move(s));
+  try {
+    by_key_.emplace(key, ref);
+  } catch (...) {
+    structures_.pop_back();
+    throw;
   }
-  block[offset].store(entry.release(), std::memory_order_release);
-
-  const StructureRef ref =
-      static_cast<StructureRef>(local) * kNumShards +
-      static_cast<StructureRef>(shard_id);
-  shard.by_key.emplace(key, ref);
-  shard.bytes.fetch_add(footprint, std::memory_order_relaxed);
-  shard.count.store(local + 1, std::memory_order_release);
+  bytes_ += footprint;
   return ref;
 }
 
@@ -108,57 +82,32 @@ StructureRef StructurePool::Find(const Structure& s) const {
 }
 
 StructureRef StructurePool::FindKey(const CanonicalKey& key) const {
-  const Shard& shard = shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(key);
-  return it == shard.by_key.end() ? kInvalidStructureRef : it->second;
-}
-
-const StructurePool::Entry* StructurePool::EntryAt(StructureRef ref) const {
-  const std::size_t shard_id = ref % kNumShards;
-  const std::uint32_t local = ref / kNumShards;
-  const Shard& shard = shards_[shard_id];
-  // The acquire load of count pairs with Intern's release store after slot
-  // publication, so a ref below count always sees its entry.
-  if (local >= shard.count.load(std::memory_order_acquire)) return nullptr;
-  std::size_t block_index, offset;
-  Locate(local, &block_index, &offset);
-  const Slot* block =
-      shard.blocks[block_index].load(std::memory_order_acquire);
-  if (block == nullptr) return nullptr;
-  return block[offset].load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = by_key_.find(key);
+  return it == by_key_.end() ? kInvalidStructureRef : it->second;
 }
 
 const Structure& StructurePool::At(StructureRef ref) const {
-  const Entry* entry = EntryAt(ref);
-  if (entry == nullptr) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ref >= structures_.size()) {
     throw std::out_of_range("StructurePool::At: unknown StructureRef");
   }
-  return entry->structure;
-}
-
-const CanonicalKey& StructurePool::KeyOf(StructureRef ref) const {
-  const Entry* entry = EntryAt(ref);
-  if (entry == nullptr) {
-    throw std::out_of_range("StructurePool::KeyOf: unknown StructureRef");
-  }
-  return entry->key;
+  return structures_[ref];
 }
 
 std::size_t StructurePool::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.count.load(std::memory_order_acquire);
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return structures_.size();
+}
+
+bool StructurePool::Contains(StructureRef ref) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ref < structures_.size();
 }
 
 std::uint64_t StructurePool::ApproxBytes() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.bytes.load(std::memory_order_relaxed);
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 }  // namespace bagdet

@@ -8,8 +8,10 @@
 // HomCache) consistent. ExecContext is that contract:
 //
 //   ExecContext exec(ExecLimits{/*deadline_ms=*/50, /*max_memory_bytes=*/0});
-//   GovernedDecision d = DecideBagDeterminacyGoverned(views, q, {}, exec);
-//   if (!d.status.ok()) { /* d.status.code says kDeadlineExceeded/... */ }
+//   ExecStatus status;
+//   auto d = RunGoverned(exec, &status,
+//                        [&] { return DecideBagDeterminacy(views, q); });
+//   if (!d) { /* status.code says kDeadlineExceeded/... */ }
 //
 // Mechanics. The current context is carried in a thread-local slot,
 // installed by ExecScope on the thread that runs the decision (no kernel

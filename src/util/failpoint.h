@@ -34,7 +34,7 @@
 //   hom/matcher        once per Matcher backtracking node
 //   canonical/branch   once per individualization-refinement branch
 //   pool/intern        before a StructurePool entry is created
-//   homcache/insert    before a HomCache insert mutates the shard
+//   homcache/insert    before a HomCache insert mutates the count table
 //   hilbert/entry      once per Hilbert summary grid entry
 //   bigint/alloc       BigInt limb spill commit (CommitSpan/SetMagnitude)
 //                      and limb-arena block growth — kBadAlloc models

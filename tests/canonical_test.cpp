@@ -250,9 +250,9 @@ TEST(HomCacheTest, CountLoopMatchesUncachedCounts) {
   HomCache cache;
   std::vector<std::pair<StructureRef, StructureRef>> pairs;
   for (int i = 0; i < 12; ++i) {
-    StructureRef from =
-        cache.Intern(RandomConnectedStructure(schema, 2 + rng.Below(3), &rng));
-    StructureRef to = cache.Intern(RandomStructure(schema, 4, &rng));
+    StructureRef from = cache.pool().Intern(
+        RandomConnectedStructure(schema, 2 + rng.Below(3), &rng));
+    StructureRef to = cache.pool().Intern(RandomStructure(schema, 4, &rng));
     pairs.emplace_back(from, to);
   }
   pairs.push_back(pairs.front());  // Duplicates must be consistent.

@@ -1,7 +1,8 @@
 // Stress and differential tests for the concurrent serving core: the
-// sharded StructurePool under racing interns, the sharded HomCache (racing
-// counts agree with uncached ones, its footprint is tracked), and the
-// lazily filled Structure caches behind decisions and certificate checks.
+// StructurePool under racing interns, the HomCache (racing counts agree
+// with uncached ones, its footprint is tracked, and its stats stay
+// consistent while runners count), and the lazily filled Structure caches
+// behind decisions and certificate checks.
 // Threads here are raw std::threads deliberately oversubscribing the host
 // so the races are real even on a single-core runner; the TSan CI job
 // runs this whole file.
@@ -63,7 +64,7 @@ Structure PermutedCopy(const Structure& s, Rng* rng) {
   return s.MapDomain(perm, n);
 }
 
-// --- Sharded StructurePool --------------------------------------------------
+// --- StructurePool ----------------------------------------------------------
 
 TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
   auto schema = GraphSchema();
@@ -93,7 +94,7 @@ TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
           } else {
             ASSERT_EQ(seen[t][c], ref);
           }
-          // Lock-free read path, concurrent with other threads' interns.
+          // Read path, concurrent with other threads' interns.
           ASSERT_EQ(pool.At(ref).NumFacts(), classes[c].NumFacts());
         }
       }
@@ -108,7 +109,7 @@ TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
       EXPECT_EQ(seen[t][c], seen[0][c]);
     }
     EXPECT_TRUE(reference::IsIsomorphic(pool.At(seen[0][c]), classes[c]));
-    EXPECT_EQ(pool.FindKey(pool.KeyOf(seen[0][c])), seen[0][c]);
+    EXPECT_EQ(pool.Find(pool.At(seen[0][c])), seen[0][c]);
   }
 }
 
@@ -118,13 +119,12 @@ TEST(ConcurrentPoolTest, AtThrowsOnUnknownRef) {
   StructureRef ref = pool.Intern(Cycle(GraphSchema(), 3));
   EXPECT_NO_THROW(pool.At(ref));
   EXPECT_THROW(pool.At(ref + 1), std::out_of_range);
-  EXPECT_THROW(pool.KeyOf(kInvalidStructureRef - StructurePool::kNumShards),
-               std::out_of_range);
+  EXPECT_THROW(pool.At(kInvalidStructureRef), std::out_of_range);
 }
 
-// --- Sharded HomCache -------------------------------------------------------
+// --- HomCache ---------------------------------------------------------------
 
-TEST(ShardedHomCacheTest, FootprintStartsAtZeroAndGrowsWithCounts) {
+TEST(HomCacheTest, FootprintStartsAtZeroAndGrowsWithCounts) {
   auto schema = GraphSchema();
   HomCache cache;
   EXPECT_EQ(cache.ApproxBytes(), 0u);
@@ -137,7 +137,7 @@ TEST(ShardedHomCacheTest, FootprintStartsAtZeroAndGrowsWithCounts) {
     Structure from = Path(schema, static_cast<Element>(2 + rng.Below(4)));
     Structure to = Cycle(schema, static_cast<Element>(2 + rng.Below(10)));
     const std::uint64_t entries_before = cache.stats().entries;
-    cache.Count(cache.Intern(from), cache.Intern(to));
+    cache.Count(cache.pool().Intern(from), cache.pool().Intern(to));
     const HomCache::Stats stats = cache.stats();
     // A new entry adds bytes; a hit leaves the footprint as it was.
     if (stats.entries > entries_before) {
@@ -177,15 +177,15 @@ TEST(ShardedHomCacheTest, FootprintStartsAtZeroAndGrowsWithCounts) {
   EXPECT_EQ(cache.ApproxBytes(), last);
 }
 
-TEST(ShardedHomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {
+TEST(HomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {
   auto schema = GraphSchema();
   HomCache cache;
 
   std::vector<std::pair<StructureRef, StructureRef>> pairs;
   for (Element from_n = 2; from_n <= 4; ++from_n) {
     for (Element to_n = 2; to_n <= 8; ++to_n) {
-      pairs.emplace_back(cache.Intern(Path(schema, from_n)),
-                         cache.Intern(Cycle(schema, to_n)));
+      pairs.emplace_back(cache.pool().Intern(Path(schema, from_n)),
+                         cache.pool().Intern(Cycle(schema, to_n)));
     }
   }
   std::vector<BigInt> expected;
@@ -212,6 +212,93 @@ TEST(ShardedHomCacheTest, ConcurrentCountLoopsAgreeWithUncachedCounts) {
   const HomCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses,
             kThreads * 20u * static_cast<std::uint64_t>(pairs.size()));
+}
+
+TEST(HomCacheTest, StatsStayConsistentWhileRunnersInternAndCount) {
+  // Four runners count interned sources against fresh copies of a set of
+  // target classes, so each call interns its target (Count(ref, Structure))
+  // while the others do the same; a fifth thread polls the reads a serving
+  // owner makes meanwhile (rotation checks and stats reports).
+  auto schema = GraphSchema();
+  HomCache cache;
+  std::vector<Structure> sources;
+  for (Element n = 2; n <= 4; ++n) sources.push_back(Path(schema, n));
+  std::vector<StructureRef> source_refs;
+  for (const Structure& source : sources) {
+    source_refs.push_back(cache.pool().Intern(source));
+  }
+  // Twelve pairwise non-isomorphic target classes.
+  std::vector<Structure> targets;
+  for (Element n = 3; n <= 8; ++n) {
+    targets.push_back(Cycle(schema, n));
+    targets.push_back(Path(schema, n + 3));
+  }
+  std::vector<std::vector<BigInt>> expected(sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    for (const Structure& target : targets) {
+      expected[s].push_back(CountHoms(sources[s], target));
+    }
+  }
+
+  constexpr std::size_t kRunners = 4;
+  constexpr int kRounds = 10;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> polls{0};
+  std::thread poller([&] {
+    HomCache::Stats last;
+    std::size_t last_classes = 0;
+    std::uint64_t last_pool_bytes = 0;
+    while (!done.load()) {
+      const HomCache::Stats stats = cache.stats();
+      const std::uint64_t bytes = cache.ApproxBytes();
+      const std::size_t classes = cache.pool().size();
+      const std::uint64_t pool_bytes = cache.pool().ApproxBytes();
+      // One snapshot is taken under one lock: every entry came from a
+      // miss. Across snapshots everything only grows.
+      if (stats.entries > stats.misses || stats.hits < last.hits ||
+          stats.misses < last.misses || stats.entries < last.entries ||
+          stats.bytes < last.bytes || bytes < stats.bytes ||
+          classes < last_classes || pool_bytes < last_pool_bytes) {
+        failures.fetch_add(1);
+      }
+      last = stats;
+      last_classes = classes;
+      last_pool_bytes = pool_bytes;
+      polls.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> runners;
+  for (std::size_t t = 0; t < kRunners; ++t) {
+    runners.emplace_back([&, t] {
+      Rng rng(3000 + t);
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t c = 0; c < targets.size(); ++c) {
+          const Structure target = PermutedCopy(targets[c], &rng);
+          for (std::size_t s = 0; s < sources.size(); ++s) {
+            if (cache.Count(source_refs[s], target) != expected[s][c]) {
+              failures.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : runners) t.join();
+  done.store(true);
+  poller.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(polls.load(), 0);
+  const HomCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, sources.size() * targets.size());
+  EXPECT_EQ(stats.hits + stats.misses,
+            kRunners * kRounds * targets.size() * sources.size());
+  EXPECT_EQ(stats.bytes, cache.ApproxBytes());
+  // Sources are paths of 2..4 elements and target paths have 6..11, so
+  // every class is distinct.
+  EXPECT_EQ(cache.pool().size(), sources.size() + targets.size());
 }
 
 // --- Lazy Structure caches under concurrent decisions ----------------------

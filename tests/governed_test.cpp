@@ -260,8 +260,8 @@ TEST_F(GovernedTest, CancellationStopsAdversarialAnalyze) {
 
 TEST_F(GovernedTest, MemoryBudgetRejectsPoolAdmission) {
   // A budget below the smallest projected pool footprint: the first intern
-  // is rejected before any shard state exists, and the typed status names
-  // the admission-control kernel.
+  // is rejected before the pool changes, and the typed status names the
+  // admission-control kernel.
   SmallInstance inst = MakeUndetermined(3);
   ExecContext exec{ExecLimits{/*deadline_ms=*/0, /*max_memory_bytes=*/64}};
   ExecStatus status;
@@ -281,12 +281,14 @@ TEST_F(GovernedTest, GovernedUnlimitedBitIdenticalToUngoverned) {
   const std::string baseline_summary = baseline.Summary();
   for (int iter = 0; iter < DiffIters(); ++iter) {
     ExecContext exec{ExecLimits{}};
-    GovernedDecision governed = DecideBagDeterminacyGoverned(
-        inst.views, inst.query, DeterminacyOptions(), exec);
-    ASSERT_TRUE(governed.status.ok());
-    ASSERT_TRUE(governed.result.has_value());
-    EXPECT_EQ(governed.result->Summary(), baseline_summary);
-    EXPECT_TRUE(governed.result->exec_status.ok());
+    ExecStatus status;
+    auto governed = RunGoverned(exec, &status, [&] {
+      return DecideBagDeterminacy(inst.views, inst.query);
+    });
+    ASSERT_TRUE(status.ok());
+    ASSERT_TRUE(governed.has_value());
+    EXPECT_EQ(governed->Summary(), baseline_summary);
+    EXPECT_TRUE(governed->exec_status.ok());
   }
 }
 
@@ -327,10 +329,12 @@ TEST_F(GovernedTest, TrippedRequestLeavesNextRequestUnaffected) {
   SmallInstance good = MakeUndetermined(3);
   DeterminacyResult baseline = DecideBagDeterminacy(good.views, good.query);
   ExecContext fresh{ExecLimits{}};
-  GovernedDecision after = DecideBagDeterminacyGoverned(
-      good.views, good.query, DeterminacyOptions(), fresh);
-  ASSERT_TRUE(after.result.has_value());
-  EXPECT_EQ(after.result->Summary(), baseline.Summary());
+  ExecStatus status;
+  auto after = RunGoverned(fresh, &status, [&] {
+    return DecideBagDeterminacy(good.views, good.query);
+  });
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->Summary(), baseline.Summary());
 }
 
 // --- Typed distinguisher/basis outcomes (no exceptions on bound
@@ -514,17 +518,18 @@ TEST_F(GovernedTest, InjectedCancelMidCanonicalSearch) {
   cfg.hit_on = 1;
   failpoint::Arm("canonical/branch", cfg);
   ExecContext exec{ExecLimits{}};
-  GovernedDecision out =
-      DecideBagDeterminacyGoverned(views, query, DeterminacyOptions(), exec);
-  ASSERT_FALSE(out.result.has_value());
-  EXPECT_EQ(out.status.code, ExecCode::kCancelled);
+  ExecStatus status;
+  auto out = RunGoverned(exec, &status,
+                         [&] { return DecideBagDeterminacy(views, query); });
+  ASSERT_FALSE(out.has_value());
+  EXPECT_EQ(status.code, ExecCode::kCancelled);
   EXPECT_GE(failpoint::HitCount("canonical/branch"), 1u);
   failpoint::DisarmAll();
   ExecContext fresh{ExecLimits{}};
-  GovernedDecision rerun =
-      DecideBagDeterminacyGoverned(views, query, DeterminacyOptions(), fresh);
-  ASSERT_TRUE(rerun.result.has_value());
-  EXPECT_EQ(rerun.result->Summary(), baseline.Summary());
+  auto rerun = RunGoverned(fresh, &status,
+                           [&] { return DecideBagDeterminacy(views, query); });
+  ASSERT_TRUE(rerun.has_value());
+  EXPECT_EQ(rerun->Summary(), baseline.Summary());
 }
 
 TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {
@@ -634,7 +639,7 @@ TEST_F(GovernedTest, InjectedAllocFailureLeavesHomCacheConsistent) {
   failpoint::Arm("homcache/insert", cfg);
   EXPECT_THROW(cache.Count(from, to), std::bad_alloc);
   failpoint::DisarmAll();
-  // The aborted insert left the shard untouched: the same cache serves the
+  // The aborted insert left the table untouched: the same cache serves the
   // same pair correctly (recomputed, then memoized).
   EXPECT_EQ(cache.Count(from, to), expected);
   EXPECT_EQ(cache.Count(from, to), expected);  // Now a cache hit.
@@ -661,9 +666,9 @@ TEST_F(GovernedTest, InjectedFaultMidCountLoop) {
   }
   auto make_pairs = [&](HomCache& cache) {
     std::vector<std::pair<StructureRef, StructureRef>> pairs;
-    const StructureRef to = cache.Intern(target);
+    const StructureRef to = cache.pool().Intern(target);
     for (const Structure& source : sources) {
-      pairs.emplace_back(cache.Intern(source), to);
+      pairs.emplace_back(cache.pool().Intern(source), to);
     }
     return pairs;
   };
@@ -733,16 +738,19 @@ TEST_F(GovernedTest, InjectedCancelMidDecidePipeline) {
     cfg.hit_on = 5;  // Deep enough that real pipeline work is in flight.
     failpoint::Arm("hom/matcher", cfg);
     ExecContext exec{ExecLimits{}};
-    GovernedDecision tripped = DecideBagDeterminacyGoverned(
-        inst.views, inst.query, DeterminacyOptions(), exec);
-    EXPECT_FALSE(tripped.result.has_value());
-    EXPECT_EQ(tripped.status.code, ExecCode::kCancelled);
+    ExecStatus status;
+    auto tripped = RunGoverned(exec, &status, [&] {
+      return DecideBagDeterminacy(inst.views, inst.query);
+    });
+    EXPECT_FALSE(tripped.has_value());
+    EXPECT_EQ(status.code, ExecCode::kCancelled);
     failpoint::DisarmAll();
     ExecContext fresh{ExecLimits{}};
-    GovernedDecision rerun = DecideBagDeterminacyGoverned(
-        inst.views, inst.query, DeterminacyOptions(), fresh);
-    ASSERT_TRUE(rerun.result.has_value());
-    EXPECT_EQ(rerun.result->Summary(), baseline_summary);
+    auto rerun = RunGoverned(fresh, &status, [&] {
+      return DecideBagDeterminacy(inst.views, inst.query);
+    });
+    ASSERT_TRUE(rerun.has_value());
+    EXPECT_EQ(rerun->Summary(), baseline_summary);
   }
 }
 
